@@ -9,6 +9,7 @@ surviving edge set after every event, never updated incrementally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,8 @@ class FaultEvent:
     def __post_init__(self):
         if self.kind not in (DER_LOSS, COMM_LOSS, LOAD_STEP):
             raise ValidationError(f"unknown event kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.time, self.dP, self.dQ)):
+            raise ValidationError("event time, dP and dQ must be finite")
         if self.kind in (DER_LOSS, LOAD_STEP) and self.bus is None:
             raise ValidationError(f"{self.kind} event needs a bus")
         if self.kind == COMM_LOSS:

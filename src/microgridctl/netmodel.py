@@ -64,6 +64,8 @@ class Load:
     def __post_init__(self):
         if self.kind not in (CONSTANT_POWER, CONSTANT_IMPEDANCE):
             raise ValidationError(f"unknown load kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.P, self.Q, self.G, self.B)):
+            raise ValidationError("load parameters must be finite")
         if self.kind == CONSTANT_POWER and (self.G != 0.0 or self.B != 0.0):
             raise ValidationError("constant_power load must not set G/B")
         if self.kind == CONSTANT_IMPEDANCE and (self.P != 0.0 or self.Q != 0.0):
@@ -89,10 +91,15 @@ class Load:
             return 0.0, 0.0
         return 2.0 * self.G * E, 2.0 * self.B * E
 
+    @property
+    def linear(self) -> bool:
+        """Demand linear in V: constant impedance, or constant power drawing nothing."""
+        return self.kind == CONSTANT_IMPEDANCE or (self.P == 0.0 and self.Q == 0.0)
+
     def shunt_admittance(self) -> complex:
-        """Equivalent shunt admittance G - jB (constant-impedance only)."""
-        if self.kind != CONSTANT_IMPEDANCE:
-            raise ValidationError("only constant_impedance loads map to a shunt")
+        """Equivalent shunt admittance G - jB (linear loads only; 0 for a zero load)."""
+        if not self.linear:
+            raise ValidationError("only linear loads map to a shunt")
         return complex(self.G, -self.B)
 
 

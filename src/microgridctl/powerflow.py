@@ -1,7 +1,8 @@
 """Power-flow quantities and the algebraic load-bus solver.
 
 Active/reactive injections, analytic Jacobians of the normalized inverter
-injection vector, the Newton solve of the load-bus KCL equations, the
+injection vector, Kron elimination of zero-injection buses, the Newton
+solve of the load-bus KCL equations, the
 coupling-ratio bound between load-bus and inverter-bus state velocities,
 and the classical existence-condition checker.
 
@@ -250,8 +251,9 @@ def solve_algebraic(
 
     theta/E are full-length work arrays; only the alg_ids entries move.
     Full Newton step with halving line search on residual-norm increase.
-    Returns the iteration count.  Raises NewtonError on non-convergence or
-    a singular iteration matrix.
+    Returns the iteration count.  Raises NewtonError on non-convergence, a
+    singular iteration matrix, or a line search that finds no decrease in
+    30 halvings (the work arrays then hold the last accepted iterate).
     """
     alg_ids = list(alg_ids)
     if not alg_ids:
@@ -282,6 +284,15 @@ def solve_algebraic(
             if norm_new < norm or norm_new <= tol:
                 break
             lam *= 0.5
+        else:
+            theta[alg_ids] = th0
+            E[alg_ids] = E0
+            raise NewtonError(
+                f"load solve line search found no decrease after 30 halvings "
+                f"(residual {norm:.3e})",
+                residual=norm,
+                iterations=it,
+            )
         g, norm = g_new, norm_new
     if norm <= tol:
         return max_iter
@@ -290,6 +301,40 @@ def solve_algebraic(
         residual=norm,
         iterations=max_iter,
     )
+
+
+def kron_reduce(Y: AdmittanceMatrix, keep, shunts: dict[int, complex]):
+    """Eliminate the buses of ``shunts`` from the network, each with its shunt.
+
+    With its linear load on the diagonal an eliminated bus injects no
+    current, so its voltage follows the kept ones exactly:
+    ``V_elim = X @ V_keep`` with ``X = -Y_ee^-1 Y_ek`` over the eliminated
+    buses in ascending order, and the kept buses see
+    ``Y_red = Y_kk + Y_ke X`` (Doerfler & Bullo, IEEE TCAS-I 60(1), 2013).
+    Returns (Y_red over ``keep`` in the given order, X).  Raises
+    NewtonError when Y_ee is singular.
+    """
+    keep = list(keep)
+    elim = sorted(shunts)
+    Y_red = Y.Y[np.ix_(keep, keep)]
+    X = np.zeros((len(elim), len(keep)), dtype=complex)
+    if elim:
+        Y_ee = Y.Y[np.ix_(elim, elim)] + np.diag([shunts[i] for i in elim])
+        try:
+            inv = np.linalg.inv(Y_ee)
+        except np.linalg.LinAlgError:
+            inv = np.full_like(Y_ee, np.inf)
+        # exact 1-norm condition number from the inverse: np.linalg.cond
+        # would run a complex SVD, which maps about 1 MB more LAPACK code
+        if not np.linalg.norm(Y_ee, 1) * np.linalg.norm(inv, 1) < 1.0 / np.finfo(float).eps:
+            raise NewtonError(
+                f"cannot eliminate buses {elim}: their admittance block is singular"
+                " (a part of the network with no path to a kept bus and no shunt)"
+            )
+        X = -inv @ Y.Y[np.ix_(elim, keep)]
+        Y_red = Y_red + Y.Y[np.ix_(keep, elim)] @ X
+        Y_red = 0.5 * (Y_red + Y_red.T)
+    return AdmittanceMatrix(Y=Y_red), X
 
 
 @dataclass(frozen=True)

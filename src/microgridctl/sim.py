@@ -2,10 +2,15 @@
 
 Semi-explicit index-1 DAE: the inverter states integrate the distributed
 control law (fixed-step 4-stage explicit by default, explicit Euler
-optionally) while the load-bus states are re-solved algebraically at every
-stage with warm starts.  Scenario events reconfigure the operating
-condition between steps.  Traces are deterministic: fixed step, fixed
-iteration order, no wall-clock anywhere.
+optionally) while the algebraic buses satisfy KCL.  Once per operating
+condition, every algebraic bus whose load is linear in V (constant
+impedance, or zero constant power such as a lost DER's open breaker) is
+folded into the admittance as a shunt and Kron-eliminated, so its voltage
+is an exact linear function of the kept buses.  Only the remaining
+nonlinear buses are re-solved by Newton at every stage, with warm starts.
+Scenario events reconfigure the operating condition between steps.
+Traces are deterministic: fixed step, fixed iteration order, no
+wall-clock anywhere.
 """
 
 from __future__ import annotations
@@ -16,12 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import Load, NetworkCase, ParseError, ValidationError
+from .netmodel import (
+    CaseError,
+    Load,
+    NetworkCase,
+    ParseError,
+    ValidationError,
+    build_admittance,
+)
 from .powerflow import (
     NewtonError,
     VoltageProfile,
     full_jacobian,
     injections_raw,
+    kron_reduce,
     solve_algebraic,
 )
 from .controller import GainSet, frequency_of
@@ -52,10 +65,12 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValidationError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValidationError("t_end must be at least one step")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValidationError("dt must be positive and finite")
+        if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
+            raise ValidationError("t_end must be finite and at least one step")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise ValidationError("newton_tol must be positive and finite")
         if self.integrator not in (RK4, EULER):
             raise ValidationError(f"unknown integrator {self.integrator!r}")
         if self.record_stride < 1:
@@ -72,19 +87,26 @@ def parse_scenario(text: str, case: NetworkCase | None = None) -> Scenario:
     """Parse a JSON scenario: ``{"events": [...], "sim": {...}}``.
 
     Event times are seconds; events are validated against the case when
-    one is supplied and come out sorted by time.
+    one is supplied and come out sorted by time.  Malformed input raises
+    ParseError, out-of-range or non-finite values ValidationError.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in scenario: {exc}") from None
+    try:
+        return _scenario_from_json(raw, case)
+    except CaseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed scenario ({type(exc).__name__}: {exc})") from None
+
+
+def _scenario_from_json(raw, case: NetworkCase | None) -> Scenario:
     events = []
     for rec in raw.get("events", []):
-        try:
-            kind = rec["kind"]
-            t = float(rec["t"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"bad event record {rec!r}: {exc}") from None
+        kind = rec["kind"]
+        t = float(rec["t"])
         if kind == LOAD_STEP:
             ev = FaultEvent(time=t, kind=kind, bus=int(rec["bus"]),
                             dP=float(rec.get("dP", 0.0)), dQ=float(rec.get("dQ", 0.0)))
@@ -131,6 +153,8 @@ class Trace:
 
     theta/E cover every bus; P/Q/f cover the case's inverter buses (dead
     inverters keep their column: injections go to zero, frequency to nan).
+    ``meta`` stays out of the CSV, so its run counters (``meta["stats"]``)
+    never change the written trace.
     """
 
     t: np.ndarray
@@ -335,83 +359,130 @@ def solve_equilibrium(
 
 
 class _Engine:
-    """Mutable integration state; rebuilds condition caches on events."""
+    """Mutable integration state over the kept buses of the current condition.
 
-    def __init__(self, case: NetworkCase, gains: GainSet, config: SimConfig, Y):
+    ``set_condition`` Kron-eliminates the linear algebraic buses once per
+    event.  The work arrays ``theta``/``E`` then cover the kept buses only:
+    the active inverters first, then the nonlinear algebraic buses, so a
+    stage touches plain slices.  ``full`` recovers the whole network.
+    """
+
+    def __init__(self, case: NetworkCase, gains: GainSet, config: SimConfig, Y,
+                 cond: OperatingCondition, theta, E):
         self.case = case
         self.gains = gains
         self.config = config
         self.Y = Y
-        self.theta = np.zeros(case.n)
-        self.E = np.ones(case.n)
-        self.set_condition(OperatingCondition.initial(case))
+        self.stats = {"eliminated_buses": [], "newton_iters": 0, "dt_halvings": 0,
+                      "derivative_evals": 0}
+        self.set_condition(cond, theta, E)
 
-    def set_condition(self, cond: OperatingCondition):
+    def set_condition(self, cond: OperatingCondition, theta, E):
+        """Switch to ``cond``, taking the state from full-network arrays."""
+        if not cond.active_inverters:
+            raise SimulationError("every inverter is lost: no source is left to simulate")
         self.cond = cond
         case = self.case
         self.active = list(cond.active_inverters)
-        self.act = np.asarray(self.active, dtype=int)
-        lap = cond.lap()
-        self.L = lap.L
+        self.n_act = len(self.active)
+        self.L = cond.lap().L
         self.K_stack = np.array([self.gains.blocks[i] for i in self.active])
-        self.alg_ids = list(cond.algebraic_ids(case))
-        self.loads = cond.effective_loads(case)
+        loads = cond.effective_loads(case)
+        alg = cond.algebraic_ids(case)
+        nonlinear = [i for i in alg if not loads[i].linear]
+        shunts = {i: loads[i].shunt_admittance() for i in alg if loads[i].linear}
+        self.kept = np.asarray(self.active + nonlinear, dtype=int)
+        self.act = self.kept[: self.n_act]
+        self.elim = np.asarray(sorted(shunts), dtype=int)
+        self.Y_red, self.X = kron_reduce(self.Y, self.kept, shunts)
+        self.alg_pos = list(range(self.n_act, len(self.kept)))
+        self.loads = {self.n_act + k: loads[i] for k, i in enumerate(nonlinear)}
         self.p_star = np.array([case.buses[i].P_star for i in self.active])
         self.q_star = np.array([case.buses[i].Q_star for i in self.active])
         self.e_lo = np.array([case.buses[i].E_min for i in self.active])
         self.e_hi = np.array([case.buses[i].E_max for i in self.active])
+        self.theta = np.asarray(theta, dtype=float)[self.kept]
+        self.E = np.asarray(E, dtype=float)[self.kept]
+        self.stats["eliminated_buses"].append(len(self.elim))
+
+    def full(self):
+        """Full-network (theta, E); eliminated buses from V_elim = X V_kept.
+
+        Their angles are taken relative to the first kept bus, so they stay
+        continuous with the kept angles instead of wrapping at +-pi.
+        """
+        theta = np.empty(self.case.n)
+        E = np.empty(self.case.n)
+        theta[self.kept] = self.theta
+        E[self.kept] = self.E
+        if len(self.elim):
+            ref = self.theta[0]
+            V = self.X @ (self.E * np.exp(1j * (self.theta - ref)))
+            theta[self.elim] = ref + np.angle(V)
+            E[self.elim] = np.abs(V)
+        return theta, E
 
     def resolve_algebraic(self) -> int:
-        return solve_algebraic(
-            self.Y, self.theta, self.E, self.alg_ids, self.loads,
-            tol=self.config.newton_tol, max_iter=self.config.newton_max_iter,
-        )
+        try:
+            its = solve_algebraic(
+                self.Y_red, self.theta, self.E, self.alg_pos, self.loads,
+                tol=self.config.newton_tol, max_iter=self.config.newton_max_iter,
+            )
+        except NewtonError as exc:
+            self.stats["newton_iters"] += exc.iterations or 0
+            raise
+        self.stats["newton_iters"] += its
+        return its
 
-    def derivative(self):
+    def control_law(self, P_act, Q_act, E_act):
         """Rate-saturated, voltage-clamped (theta_dot, E_dot) per active inverter."""
-        P, Q = injections_raw(self.Y, self.theta, self.E)
-        act = self.act
-        S = np.empty((len(act), 2))
-        S[:, 0] = P[act] / self.p_star
-        S[:, 1] = Q[act] / self.q_star
+        self.stats["derivative_evals"] += 1
+        S = np.empty((self.n_act, 2))
+        S[:, 0] = P_act / self.p_star
+        S[:, 1] = Q_act / self.q_star
         mix = self.L @ S
         xdot = np.einsum("kij,kj->ki", self.K_stack, mix)
         np.clip(xdot[:, 0], -self.gains.theta_dot_max, self.gains.theta_dot_max, out=xdot[:, 0])
         np.clip(xdot[:, 1], -self.gains.E_dot_max, self.gains.E_dot_max, out=xdot[:, 1])
-        e_act = self.E[act]
-        clamp = ((e_act >= self.e_hi) & (xdot[:, 1] > 0.0)) | (
-            (e_act <= self.e_lo) & (xdot[:, 1] < 0.0)
+        clamp = ((E_act >= self.e_hi) & (xdot[:, 1] > 0.0)) | (
+            (E_act <= self.e_lo) & (xdot[:, 1] < 0.0)
         )
         xdot[clamp, 1] = 0.0
-        return xdot, int(clamp.sum()), P, Q
+        return xdot, int(clamp.sum())
+
+    def derivative(self):
+        """Control law on the reduced network's injections at the kept state."""
+        n = self.n_act
+        P, Q = injections_raw(self.Y_red, self.theta, self.E)
+        return self.control_law(P[:n], Q[:n], self.E[:n])[0]
 
     def _stage_apply(self, th0, E0, k, c, dt):
-        act = self.act
-        self.theta[act] = th0 + c * dt * k[:, 0]
-        self.E[act] = E0 + c * dt * k[:, 1]
+        n = self.n_act
+        self.theta[:n] = th0 + c * dt * k[:, 0]
+        self.E[:n] = E0 + c * dt * k[:, 1]
 
     def _try_step(self, dt: float) -> int:
-        act = self.act
-        th0 = self.theta[act].copy()
-        E0 = self.E[act].copy()
+        n = self.n_act
+        th0 = self.theta[:n].copy()
+        E0 = self.E[:n].copy()
         its = 0
         if self.config.integrator == EULER:
-            k1, _, _, _ = self.derivative()
+            k1 = self.derivative()
             self._stage_apply(th0, E0, k1, 1.0, dt)
             its += self.resolve_algebraic()
             return its
-        k1, _, _, _ = self.derivative()
+        k1 = self.derivative()
         self._stage_apply(th0, E0, k1, 0.5, dt)
         its += self.resolve_algebraic()
-        k2, _, _, _ = self.derivative()
+        k2 = self.derivative()
         self._stage_apply(th0, E0, k2, 0.5, dt)
         its += self.resolve_algebraic()
-        k3, _, _, _ = self.derivative()
+        k3 = self.derivative()
         self._stage_apply(th0, E0, k3, 1.0, dt)
         its += self.resolve_algebraic()
-        k4, _, _, _ = self.derivative()
-        self.theta[act] = th0 + (dt / 6.0) * (k1[:, 0] + 2 * k2[:, 0] + 2 * k3[:, 0] + k4[:, 0])
-        self.E[act] = E0 + (dt / 6.0) * (k1[:, 1] + 2 * k2[:, 1] + 2 * k3[:, 1] + k4[:, 1])
+        k4 = self.derivative()
+        self.theta[:n] = th0 + (dt / 6.0) * (k1[:, 0] + 2 * k2[:, 0] + 2 * k3[:, 0] + k4[:, 0])
+        self.E[:n] = E0 + (dt / 6.0) * (k1[:, 1] + 2 * k2[:, 1] + 2 * k3[:, 1] + k4[:, 1])
         its += self.resolve_algebraic()
         return its
 
@@ -428,6 +499,7 @@ class _Engine:
                 raise SimulationError(
                     f"step failed after 4 halvings (dt={dt:.3e}): {exc}"
                 ) from exc
+            self.stats["dt_halvings"] += 1
             its = self.advance(0.5 * dt, depth + 1)
             its += self.advance(0.5 * dt, depth + 1)
             return its
@@ -436,17 +508,13 @@ class _Engine:
 def step(case: NetworkCase, gains: GainSet, condition: OperatingCondition,
          x: VoltageProfile, config: SimConfig, Y=None) -> VoltageProfile:
     """Advance one DAE step from a consistent state (public single-step API)."""
-    from .netmodel import build_admittance
-
     if Y is None:
         Y = build_admittance(case)
-    eng = _Engine(case, gains, config, Y)
-    eng.set_condition(condition)
-    eng.theta[:] = x.theta
-    eng.E[:] = x.E
+    eng = _Engine(case, gains, config, Y, condition, x.theta, x.E)
     eng.resolve_algebraic()
     eng.advance(config.dt)
-    return VoltageProfile(theta=eng.theta.copy(), E=eng.E.copy())
+    theta, E = eng.full()
+    return VoltageProfile(theta=theta, E=E)
 
 
 def run_scenario(
@@ -461,30 +529,27 @@ def run_scenario(
 
     Starts from the solved pre-event sharing equilibrium (flat-start load
     solve as fallback), applies events at the first grid time at or after
-    their timestamp, and records every ``record_stride`` steps.
+    their timestamp, and records every ``record_stride`` steps.  P/Q and
+    frequency columns come from the full network at the recorded state.
+    ``meta["stats"]`` holds the run's counters: eliminated buses per
+    operating condition, Newton iterations, dt halvings and control-law
+    evaluations.
     """
-    from .netmodel import build_admittance
-
     cfg = config or scenario.config
-    if Y is None:
-        Y = build_admittance(case)
-    eng = _Engine(case, gains, cfg, Y)
-
-    if initial is not None:
-        eng.theta[:] = initial.theta
-        eng.E[:] = initial.E
-        eng.resolve_algebraic()
-    else:
-        try:
-            x0 = solve_equilibrium(case, Y, eng.cond)
-            eng.theta[:] = x0.theta
-            eng.E[:] = x0.E
-        except NewtonError:
-            eng.resolve_algebraic()
-
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ValidationError("t_end must be an integer number of steps")
+    if Y is None:
+        Y = build_admittance(case)
+    cond = OperatingCondition.initial(case)
+    x0 = initial
+    if x0 is None:
+        try:
+            x0 = solve_equilibrium(case, Y, cond)
+        except NewtonError:
+            x0 = VoltageProfile.flat(case.n)
+    eng = _Engine(case, gains, cfg, Y, cond, x0.theta, x0.E)
+    eng.resolve_algebraic()
     events = list(scenario.events)
     ev_idx = 0
 
@@ -513,10 +578,12 @@ def run_scenario(
 
     def record(t):
         nonlocal row, its_accum
-        xdot, n_clamp, P, Q = eng.derivative()
+        theta, E = eng.full()
+        P, Q = injections_raw(Y, theta, E)
+        xdot, n_clamp = eng.control_law(P[eng.act], Q[eng.act], E[eng.act])
         rec["t"][row] = t
-        rec["theta"][row] = eng.theta
-        rec["E"][row] = eng.E
+        rec["theta"][row] = theta
+        rec["E"][row] = E
         rec["P"][row] = P[inv_arr]
         rec["Q"][row] = Q[inv_arr]
         freq = np.full(len(inv_ids), np.nan)
@@ -525,7 +592,7 @@ def run_scenario(
         rec["f"][row] = freq
         rec["clamp"][row] = n_clamp
         if len(lines_f):
-            max_ang = np.abs(eng.theta[lines_f] - eng.theta[lines_t]).max()
+            max_ang = np.abs(theta[lines_f] - theta[lines_t]).max()
             rec["angle"][row] = 1 if max_ang > case.gamma + 1e-12 else 0
         rec["its"][row] = its_accum
         ratios_p = P[eng.act] / eng.p_star
@@ -537,15 +604,15 @@ def run_scenario(
 
     for k_step in range(n_steps + 1):
         t = k_step * cfg.dt
-        changed = False
+        cond = eng.cond
         while ev_idx < len(events) and events[ev_idx].time <= t + 1e-12:
-            eng.set_condition(apply_event(case, eng.cond, events[ev_idx]))
+            cond = apply_event(case, cond, events[ev_idx])
             event_times_applied.append(t)
             ev_idx += 1
-            changed = True
-        if changed:
+        if cond is not eng.cond:
+            eng.set_condition(cond, *eng.full())
             its_accum += eng.resolve_algebraic()
-            uncertified = uncertified or not eng.cond.certified
+            uncertified = uncertified or not cond.certified
         if k_step % cfg.record_stride == 0:
             record(t)
         if k_step < n_steps:
@@ -571,6 +638,7 @@ def run_scenario(
             "uncertified": uncertified,
             "event_times": tuple(event_times_applied),
             "final_active": tuple(eng.active),
+            "stats": eng.stats,
         },
     )
     return trace

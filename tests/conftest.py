@@ -38,6 +38,22 @@ def line(f, t, R=0.0, X=0.1, B_sh=0.0, I_max=None):
     return rec
 
 
+# Scenario texts that must fail with ParseError ...
+MALFORMED_SCENARIOS = {
+    "load_step_without_bus": '{"events": [{"t": 1.0, "kind": "load_step", "dP": 0.01}]}',
+    "edge_not_a_pair": '{"events": [{"t": 1.0, "kind": "comm_loss", "edge": 5}]}',
+    "top_level_list": '[{"t": 1.0, "kind": "load_step", "bus": 9}]',
+    "dt_not_a_number": '{"sim": {"dt": "x", "t_end": 1.0}}',
+}
+# ... and with ValidationError.
+NON_FINITE_SCENARIOS = {
+    "dt_nan": '{"sim": {"dt": NaN, "t_end": 1.0}}',
+    "t_end_infinite": '{"sim": {"dt": 0.01, "t_end": Infinity}}',
+    "event_t_nan": '{"events": [{"t": NaN, "kind": "load_step", "bus": 9, "dP": 0.01}]}',
+    "residual_nan": '{"events": [{"t": 1.0, "kind": "der_loss", "bus": 0, "residual": {"P": NaN}}]}',
+}
+
+
 @pytest.fixture(scope="session")
 def case14():
     return bundled.bundled_case()
@@ -99,4 +115,21 @@ def path3_inverters():
         [inverter(0, P=1.0, Q=0.4), inverter(1, P=0.8, Q=0.3), inverter(2, P=0.6, Q=0.2)],
         [line(0, 1, R=0.05, X=0.10), line(1, 2, R=0.08, X=0.12)],
         [[0, 1], [1, 2]],
+    )
+
+
+@pytest.fixture()
+def mixed_case():
+    """Three inverters on a lossy mesh with every kind of algebraic bus.
+
+    Bus 3 carries an impedance load and bus 4 draws nothing (both linear
+    in V, so the simulator eliminates them); bus 5 is a constant-power load.
+    """
+    return make_case(
+        [inverter(0), inverter(1, P=0.5, Q=0.25), inverter(2, P=0.8, Q=0.4),
+         z_load(3, G=0.4, B=0.2), pq_load(4), pq_load(5, P=0.3, Q=0.1)],
+        [line(0, 3, R=0.05, X=0.1, B_sh=0.02), line(3, 4, R=0.04, X=0.12),
+         line(4, 1, R=0.06, X=0.13), line(4, 5, R=0.03, X=0.08),
+         line(0, 1, R=0.05, X=0.2), line(2, 5, R=0.04, X=0.1)],
+        [[0, 1], [1, 2], [0, 2]],
     )

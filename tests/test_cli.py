@@ -8,6 +8,8 @@ from microgridctl.cli import main
 from microgridctl.certify import certificate_to_json
 from microgridctl import data as bundled
 
+from conftest import MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS
+
 
 CASE = str(bundled.data_path(bundled.CASE14))
 GAINS = str(bundled.data_path(bundled.GAINS14))
@@ -111,6 +113,15 @@ def test_simulate_infeasible_load_is_numerical_failure(tmp_path, capsys):
         "sim": {"t_end": 0.1, "dt": 0.005},
     }))
     assert main(["simulate", str(case), str(gains), str(scen)]) == 2
+
+
+def test_simulate_bad_scenario_exits_1(tmp_path, capsys):
+    for name, text in {**MALFORMED_SCENARIOS, **NON_FINITE_SCENARIOS}.items():
+        scen = tmp_path / f"{name}.json"
+        scen.write_text(text)
+        assert main(["simulate", CASE, GAINS, str(scen)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, name
 
 
 def test_module_entrypoint_runs():

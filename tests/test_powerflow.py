@@ -12,7 +12,10 @@ from microgridctl.powerflow import (
     injections_raw,
     kcl_jacobian_parts,
     kcl_residual,
+    kron_reduce,
+    solve_algebraic,
 )
+from microgridctl import powerflow
 
 from conftest import inverter, line, make_case, pq_load, z_load
 
@@ -220,6 +223,48 @@ def test_solve_loads_nonconvergence_raises():
     with pytest.raises(NewtonError) as err:
         mg.solve_loads(case, Y, np.array([0.0, 1.0]))
     assert err.value.residual is not None
+
+
+def test_line_search_exhaustion_raises(monkeypatch, triangle_case):
+    Y = mg.build_admittance(triangle_case)
+    calls = {"n": 0}
+
+    def growing(*args):
+        calls["n"] += 1
+        return np.full(2, float(calls["n"]))
+
+    monkeypatch.setattr(powerflow, "kcl_residual", growing)
+    theta, E = np.zeros(3), np.ones(3)
+    with pytest.raises(NewtonError, match="line search") as err:
+        solve_algebraic(Y, theta, E, [2], triangle_case.loads())
+    assert calls["n"] == 31  # the start plus 30 halvings
+    assert err.value.residual == 1.0
+    assert theta[2] == 0.0 and E[2] == 1.0  # back at the last accepted iterate
+
+
+def test_kron_reduce_is_exact_elimination(mixed_case):
+    case = mixed_case
+    Y = mg.build_admittance(case)
+    keep, shunts = [0, 1, 2, 5], {3: case.buses[3].load.shunt_admittance(), 4: 0j}
+    Y_red, X = kron_reduce(Y, keep, shunts)
+    assert Y_red.n == 4 and X.shape == (2, 4)
+    rng = np.random.default_rng(7)
+    V = np.empty(6, dtype=complex)
+    V[keep] = rng.uniform(0.9, 1.1, 4) * np.exp(1j * rng.uniform(-0.2, 0.2, 4))
+    V[[3, 4]] = X @ V[keep]
+    current = Y.Y @ V
+    # eliminated buses: line current plus shunt current is zero
+    assert abs(current[3] + shunts[3] * V[3]) < 1e-14
+    assert abs(current[4]) < 1e-14
+    assert np.abs(Y_red.Y @ V[keep] - current[keep]).max() < 1e-13
+    # KCL of the impedance load holds in power form on the full network
+    assert np.abs(kcl_residual(Y, np.angle(V), np.abs(V), [3, 4], case.loads())).max() < 1e-14
+
+
+def test_kron_reduce_singular_block_raises(two_bus_inductive):
+    Y = mg.build_admittance(two_bus_inductive)
+    with pytest.raises(NewtonError, match="singular"):
+        kron_reduce(Y, [], {0: 0j, 1: 0j})  # a floating network without shunts
 
 
 # -- kappa bound ------------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import microgridctl as mg
-from microgridctl.contingency import OperatingCondition
-from microgridctl.powerflow import NewtonError, VoltageProfile
+from microgridctl import data as bundled
+from microgridctl import powerflow
+from microgridctl.contingency import FaultEvent, OperatingCondition, apply_event
+from microgridctl.powerflow import NewtonError, VoltageProfile, injections_raw, kcl_residual
 from microgridctl.sim import (
     SimConfig,
     SimulationError,
@@ -20,7 +22,7 @@ from microgridctl.sim import (
     write_trace_csv,
 )
 
-from conftest import inverter, line, make_case
+from conftest import MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS, inverter, line, make_case
 
 
 def scenario_of(case, events, t_end=1.0, dt=0.005, stride=1, integrator="rk4"):
@@ -156,10 +158,9 @@ def test_event_between_grid_points_applies_at_next_step(case14, Y14, gains14):
 
 def test_dt_halving_recovers_from_transient_newton_failure(case14, Y14, gains14):
     cfg = SimConfig(dt=0.01, t_end=0.01)
-    eng = _Engine(case14, gains14, cfg, Y14)
-    x0 = solve_equilibrium(case14, Y14, eng.cond)
-    eng.theta[:] = x0.theta
-    eng.E[:] = x0.E
+    cond = OperatingCondition.initial(case14)
+    x0 = solve_equilibrium(case14, Y14, cond)
+    eng = _Engine(case14, gains14, cfg, Y14, cond, x0.theta, x0.E)
 
     calls = {"n": 0}
     original = eng._try_step
@@ -174,9 +175,7 @@ def test_dt_halving_recovers_from_transient_newton_failure(case14, Y14, gains14)
     eng.advance(cfg.dt)  # two failures then halved steps succeed
     assert calls["n"] > 2
 
-    eng2 = _Engine(case14, gains14, cfg, Y14)
-    eng2.theta[:] = x0.theta
-    eng2.E[:] = x0.E
+    eng2 = _Engine(case14, gains14, cfg, Y14, cond, x0.theta, x0.E)
     eng2._try_step = lambda dt: (_ for _ in ()).throw(NewtonError("always"))
     with pytest.raises(SimulationError, match="halvings"):
         eng2.advance(cfg.dt)
@@ -228,3 +227,128 @@ def test_step_size_self_convergence(case14, Y14, gains14):
     d_theta = np.abs(final[1e-3][0] - final[5e-4][0]).max()
     d_E = np.abs(final[1e-3][1] - final[5e-4][1]).max()
     assert max(d_theta, d_E) < 1e-6
+
+
+# -- Kron elimination of the linear algebraic buses --------------------------------
+
+
+def kcl_per_row(case, Y, trace, events):
+    """Worst full-network KCL residual of each recorded row under its own condition."""
+    pending = list(zip(trace.meta["event_times"], events))
+    cond = OperatingCondition.initial(case)
+    out = np.empty(trace.n_rows)
+    for r in range(trace.n_rows):
+        while pending and pending[0][0] <= trace.t[r] + 1e-12:
+            cond = apply_event(case, cond, pending.pop(0)[1])
+        g = kcl_residual(Y, trace.theta[r], trace.E[r], cond.algebraic_ids(case),
+                         cond.effective_loads(case))
+        out[r] = np.abs(g).max()
+    return out
+
+
+def mixed_gains():
+    return mg.GainSet(blocks={i: -0.05 * np.eye(2) for i in (0, 1, 2)})
+
+
+def test_bundled_loadstep_is_solved_by_elimination_alone(case14, Y14, gains14):
+    scn = bundled.bundled_scenario(bundled.SCENARIO_LOADSTEP)
+    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    assert kcl_per_row(case14, Y14, tr, scn.events).max() <= 1e-12
+    assert not tr.newton_iters.any()
+    n_steps = int(round(scn.config.t_end / scn.config.dt))
+    assert tr.meta["stats"] == {
+        "eliminated_buses": [9, 9],  # every load bus, before and after the step
+        "newton_iters": 0,
+        "dt_halvings": 0,
+        "derivative_evals": 4 * n_steps + tr.n_rows,
+    }
+
+
+def test_mixed_case_keeps_newton_for_nonlinear_buses(mixed_case):
+    Y = mg.build_admittance(mixed_case)
+    scn = scenario_of(mixed_case, [
+        {"t": 0.1, "kind": "der_loss", "bus": 2, "residual": {"P": 0.05, "Q": 0.02}},
+        {"t": 0.2, "kind": "load_step", "bus": 3, "dP": 0.05, "dQ": 0.02},
+    ], t_end=0.5, dt=0.005)
+    tr = run_scenario(mixed_case, mixed_gains(), scn, Y=Y)
+    stats = tr.meta["stats"]
+    assert stats["eliminated_buses"] == [2, 2, 2]  # buses 3 and 4 throughout
+    assert tr.newton_iters.sum() > 0
+    assert stats["newton_iters"] >= tr.newton_iters.sum()
+    assert kcl_per_row(mixed_case, Y, tr, scn.events).max() <= scn.config.newton_tol
+    assert np.isnan(tr.f_inv[-1, 2]) and tr.P_inv[-1, 2] == pytest.approx(-0.05, abs=1e-9)
+
+
+def test_step_returns_full_profile_satisfying_kcl(mixed_case):
+    Y = mg.build_admittance(mixed_case)
+    x0 = solve_equilibrium(mixed_case, Y)
+    lost = FaultEvent(time=0.0, kind="der_loss", bus=2, residual=mg.Load.constant_power(0.05, 0.02))
+    cfg = SimConfig(dt=0.005, t_end=0.005)
+    for cond in (OperatingCondition.initial(mixed_case),
+                 apply_event(mixed_case, OperatingCondition.initial(mixed_case), lost)):
+        x1 = step(mixed_case, mixed_gains(), cond, x0, cfg, Y=Y)
+        assert x1.theta.shape == x1.E.shape == (mixed_case.n,)
+        g = kcl_residual(Y, x1.theta, x1.E, cond.algebraic_ids(mixed_case),
+                         cond.effective_loads(mixed_case))
+        assert np.abs(g).max() <= cfg.newton_tol
+
+
+def test_reduced_engine_matches_full_network(mixed_case):
+    """The derivative on Y_red is the law on full-network injections, at any frame angle."""
+    Y = mg.build_admittance(mixed_case)
+    x0 = solve_equilibrium(mixed_case, Y)
+    lost = FaultEvent(time=0.0, kind="der_loss", bus=2, residual=mg.Load.constant_power(0.05, 0.02))
+    cond = apply_event(mixed_case, OperatingCondition.initial(mixed_case), lost)
+    shift = 3.3  # puts every angle past pi
+    full = []
+    for s in (0.0, shift):
+        eng = _Engine(mixed_case, mixed_gains(), SimConfig(), Y, cond, x0.theta + s, x0.E)
+        eng.resolve_algebraic()
+        theta, E = eng.full()
+        P, Q = injections_raw(Y, theta, E)
+        xdot, _ = eng.control_law(P[eng.act], Q[eng.act], E[eng.act])
+        assert np.abs(eng.derivative() - xdot).max() < 1e-12
+        full.append(theta)
+    assert np.abs(full[1] - full[0] - shift).max() < 1e-9
+
+
+def test_line_search_failure_halves_dt(monkeypatch, mixed_case):
+    Y = mg.build_admittance(mixed_case)
+    cond = OperatingCondition.initial(mixed_case)
+    x0 = solve_equilibrium(mixed_case, Y, cond)
+    eng = _Engine(mixed_case, mixed_gains(), SimConfig(), Y, cond, x0.theta, x0.E)
+    before = eng.full()
+    calls = {"n": 0}
+
+    def growing(*args):
+        calls["n"] += 1
+        return np.full(2, float(calls["n"]))  # bus 5 is the one nonlinear bus
+
+    monkeypatch.setattr(powerflow, "kcl_residual", growing)
+    with pytest.raises(SimulationError, match="line search"):
+        eng.advance(0.01)
+    assert eng.stats["dt_halvings"] == 4
+    after = eng.full()
+    assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
+
+
+def test_losing_every_inverter_is_a_simulation_error(mixed_case):
+    scn = scenario_of(mixed_case, [{"t": 0.01 * (k + 1), "kind": "der_loss", "bus": i}
+                                   for k, i in enumerate(mixed_case.inverter_ids)], t_end=0.1)
+    with pytest.raises(SimulationError, match="every inverter is lost"):
+        run_scenario(mixed_case, mixed_gains(), scn)
+
+
+# -- malformed scenarios ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_is_parse_error(case14, name):
+    with pytest.raises(mg.ParseError):
+        parse_scenario(MALFORMED_SCENARIOS[name], case14)
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_SCENARIOS))
+def test_non_finite_scenario_value_is_validation_error(case14, name):
+    with pytest.raises(mg.ValidationError):
+        parse_scenario(NON_FINITE_SCENARIOS[name], case14)
