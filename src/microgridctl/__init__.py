@@ -33,7 +33,6 @@ from .controller import (
     frequency_of,
     load_gains,
     parse_gains,
-    project_security,
 )
 from .certify import (
     CapacityBox,
@@ -41,7 +40,6 @@ from .certify import (
     IntervalHull,
     StabilityCertificate,
     SynthesisError,
-    VertexSet,
     block_feasibility,
     blocks_of,
     build_basis,
@@ -52,7 +50,6 @@ from .certify import (
     load_certificate,
     synthesize_gains,
     verify_certificate,
-    vertex_samples,
     zeta_estimate,
 )
 from .contingency import (

@@ -7,12 +7,12 @@ the per-block negative-definiteness conditions and the full quadratic
 (Lyapunov + S-procedure) matrix inequalities at hull vertices, and runs a
 two-stage subgradient heuristic that synthesizes gains plus a certificate.
 
-Hull kinds:
-  * ``jbar`` (default): vertex matrices are Jacobian evaluations at the
-    corner combinations themselves -- cardinality grows with the corner
-    count, entries are mutually consistent.
-  * ``dbar``: the entrywise interval box; its vertex count is
-    2**((2*b)**2) per block and is only enumerated lazily under a budget.
+The hull is the ``jbar`` kind: its vertex matrices are Jacobian
+evaluations at the corner combinations themselves, so their cardinality
+grows with the corner count and their entries are mutually consistent.
+The disturbance multiplier enters the certificate inequalities as
+``eps * zeta**2`` (the ``squared`` zeta mode).  A certificate file names
+both in ``hull_kind`` and ``zeta_mode``, and no other value is accepted.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .netmodel import (
     AdmittanceMatrix,
     NetworkCase,
     ValidationError,
+    bfs_tree,
     case_to_json,
     laplacian,
 )
@@ -37,8 +38,10 @@ from .powerflow import VoltageProfile, jacobians, kappa_bound
 
 EIG_TOL = 1e-9  # absolute tolerance on extreme eigenvalues in all checks
 
+HULL_JBAR = "jbar"  # the one hull kind: Jacobian evaluations at corner profiles
 ZETA_SQUARED = "squared"  # multiplier enters as eps * zeta^2 (S-procedure on norms)
-ZETA_LITERAL = "literal"  # multiplier enters as eps * zeta
+VERTEX_BUDGET = 200_000  # largest global vertex product checked in full
+MAX_CORNER_COMBOS = 2_000_000  # largest per-block corner enumeration
 
 
 class SynthesisError(RuntimeError):
@@ -114,20 +117,13 @@ def blocks_of(case: NetworkCase) -> tuple[tuple[int, ...], ...]:
     The normalized-injection Jacobian w.r.t. inverter states is block
     diagonal over these groups.
     """
-    adj = case.adjacency()
-    inv = set(case.inverter_ids)
+    inv = case.inverter_ids
+    edges = [ln.key for ln in case.lines]
     unvisited = set(inv)
     blocks = []
     while unvisited:
         seed = min(unvisited)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v in inv and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
+        comp = {seed} | {child for _, child, _, _ in bfs_tree(inv, edges, seed)}
         unvisited -= comp
         blocks.append(tuple(sorted(comp)))
     return tuple(sorted(blocks))
@@ -187,110 +183,8 @@ def _stationary_candidates(phi: float, gamma: float):
 
 
 # ---------------------------------------------------------------------------
-# realized vertex samples (full enumeration, small networks)
+# interior samples
 # ---------------------------------------------------------------------------
-
-
-def _spanning_tree(case: NetworkCase):
-    """BFS tree from bus 0: list of (parent, child, line_index, sign).
-
-    sign +1 means the stored line direction is parent->child, so the
-    child angle is parent angle minus the line's angle difference.
-    """
-    adj: dict[int, list[tuple[int, int, int]]] = {b.id: [] for b in case.buses}
-    for idx, ln in enumerate(case.lines):
-        adj[ln.from_bus].append((ln.to_bus, idx, +1))
-        adj[ln.to_bus].append((ln.from_bus, idx, -1))
-    seen = {0}
-    order = []
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v, idx, sign in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                order.append((u, v, idx, sign))
-                queue.append(v)
-    return order
-
-
-def realize_profile(case: NetworkCase, E: np.ndarray, delta_by_line: np.ndarray,
-                    tree=None) -> VoltageProfile:
-    """Voltage profile with the requested magnitudes and tree-edge angle gaps.
-
-    Angles are assigned from bus 0 along a spanning tree; non-tree lines
-    inherit whatever difference the tree implies.
-    """
-    if tree is None:
-        tree = _spanning_tree(case)
-    theta = np.zeros(case.n)
-    for u, v, idx, sign in tree:
-        theta[v] = theta[u] - sign * delta_by_line[idx]
-    return VoltageProfile(theta=theta, E=np.asarray(E, dtype=float))
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """All corner combinations of the voltage box and branch-angle gaps.
-
-    ``cycle_flags[k]`` marks samples whose tree realization pushes some
-    non-tree line beyond the angle limit (outer approximation on meshes).
-    """
-
-    samples: tuple[VoltageProfile, ...]
-    cycle_flags: tuple[bool, ...]
-    e_corners: np.ndarray
-    delta_corners: np.ndarray
-
-
-def vertex_samples(case: NetworkCase, Y: AdmittanceMatrix | None = None,
-                   max_samples: int = 500_000) -> VertexSet:
-    """Enumerate E in {E_min, E_max}^n x gap in {-gamma, 0, gamma}^lines.
-
-    Raises when the folded-angle hypothesis fails on some line or when the
-    enumeration exceeds ``max_samples`` (use the per-block bounds then).
-    """
-    from .netmodel import build_admittance
-
-    if Y is None:
-        Y = build_admittance(case)
-    n, n_lines = case.n, len(case.lines)
-    count = (2 ** n) * (3 ** n_lines)
-    if count > max_samples:
-        raise ValidationError(
-            f"vertex set has {count} samples (> {max_samples}); use per-block entry bounds"
-        )
-    bad = hypothesis_violations(case, Y)
-    if bad:
-        desc = ", ".join(f"{key} (phi={phi:.3f}, folded={eff:.3f})" for key, phi, eff in bad)
-        raise ValidationError(f"admittance-angle hypothesis violated on lines: {desc}")
-    tree = _spanning_tree(case)
-    non_tree = set(range(n_lines)) - {idx for _, _, idx, _ in tree}
-    e_lo, e_hi = case.e_min(), case.e_max()
-    g = case.gamma
-    samples, flags, e_rows, d_rows = [], [], [], []
-    for bits in itertools.product((0, 1), repeat=n):
-        E = np.where(np.array(bits, dtype=bool), e_hi, e_lo)
-        for deltas in itertools.product((-g, 0.0, g), repeat=n_lines):
-            delta = np.array(deltas)
-            prof = realize_profile(case, E, delta, tree)
-            flag = False
-            for idx in non_tree:
-                ln = case.lines[idx]
-                implied = prof.theta[ln.from_bus] - prof.theta[ln.to_bus]
-                if abs(implied) > g + 1e-12:
-                    flag = True
-                    break
-            samples.append(prof)
-            flags.append(flag)
-            e_rows.append(E)
-            d_rows.append(delta)
-    return VertexSet(
-        samples=tuple(samples),
-        cycle_flags=tuple(flags),
-        e_corners=np.array(e_rows),
-        delta_corners=np.array(d_rows),
-    )
 
 
 def sample_interior_profiles(case: NetworkCase, count: int, seed: int = 0) -> list[VoltageProfile]:
@@ -301,13 +195,17 @@ def sample_interior_profiles(case: NetworkCase, count: int, seed: int = 0) -> li
     lines exactly as in the corner realization.
     """
     rng = np.random.default_rng(seed)
-    tree = _spanning_tree(case)
+    tree = bfs_tree(range(case.n), [(ln.from_bus, ln.to_bus) for ln in case.lines], 0)
     e_lo, e_hi = case.e_min(), case.e_max()
     out = []
     for _ in range(count):
         E = rng.uniform(e_lo, e_hi)
         delta = rng.uniform(-case.gamma, case.gamma, size=len(case.lines))
-        out.append(realize_profile(case, E, delta, tree))
+        # angles from bus 0 along the tree; non-tree lines inherit the implied gap
+        theta = np.zeros(case.n)
+        for u, v, idx, sign in tree:
+            theta[v] = theta[u] - sign * delta[idx]
+        out.append(VoltageProfile(theta=theta, E=E))
     return out
 
 
@@ -322,24 +220,19 @@ class BlockBounds:
 
     block: tuple[int, ...]
     relevant_buses: tuple[int, ...]
-    relevant_edges: tuple[tuple[int, int], ...]
     J_lo: np.ndarray
     J_hi: np.ndarray
     D_stack: np.ndarray  # (n_combos, 2b, 2b) Jacobian evaluations at corners
-    hypothesis_failures: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if np.any(self.J_lo > self.J_hi + 1e-15):
             raise ValidationError("entry bounds inverted (J_lo > J_hi)")
 
 
-def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block,
-                 samples=None, max_combos: int = 2_000_000) -> BlockBounds:
+def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block) -> BlockBounds:
     """Entrywise min/max of the block Jacobian over corner profiles.
 
-    With ``samples`` given, the bounds come from Jacobian evaluations at
-    those profiles.  Otherwise the block-restricted corners are realized
-    on the relevant subnetwork: relevant buses are the block plus its
+    The block-restricted corners are realized on the relevant subnetwork: relevant buses are the block plus its
     electrical neighbors, relevant edges those incident to the block.
     Magnitudes take both box corners; angle gaps take {-gamma, 0, gamma}
     plus any interior trig-stationary angles (which keeps the bounds valid
@@ -353,33 +246,16 @@ def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block,
     inv_set = set(case.inverter_ids)
     if not set(block) <= inv_set:
         raise ValidationError("block must consist of inverter buses")
-    if samples is not None:
-        return _entry_bounds_from_samples(case, Y, block, samples)
 
     adj = case.adjacency()
     relevant = sorted(set(block) | {v for b in block for v in adj[b]})
     edges = [ln for ln in case.lines if ln.from_bus in block or ln.to_bus in block]
     gamma = case.gamma
-    bad = {key for key, _, _ in hypothesis_violations(case, Y)}
-    fails = tuple(ln.key for ln in edges if ln.key in bad)
 
     # spanning tree of the relevant subgraph (connected: every relevant bus
     # either is in the block or touches it through a relevant edge)
-    sub_adj: dict[int, list] = {b: [] for b in relevant}
-    for k, ln in enumerate(edges):
-        sub_adj[ln.from_bus].append((ln.to_bus, k, +1))
-        sub_adj[ln.to_bus].append((ln.from_bus, k, -1))
     root = relevant[0]
-    seen = {root}
-    tree = []  # (parent, child, edge_index, sign)
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v, k, sign in sorted(sub_adj[u]):
-            if v not in seen:
-                seen.add(v)
-                tree.append((u, v, k, sign))
-                queue.append(v)
+    tree = bfs_tree(relevant, [(ln.from_bus, ln.to_bus) for ln in edges], root)
 
     e_choices = [(case.buses[i].E_min, case.buses[i].E_max) for i in relevant]
     tree_slots = [k for _, _, k, _ in tree]
@@ -389,9 +265,9 @@ def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block,
         phi = float(Y.angle[ln.from_bus, ln.to_bus])
         d_choices.append(sorted([-gamma, 0.0, gamma] + _stationary_candidates(phi, gamma)))
     n_combos = (2 ** len(relevant)) * int(np.prod([len(c) for c in d_choices] or [1]))
-    if n_combos > max_combos:
+    if n_combos > MAX_CORNER_COMBOS:
         raise ValidationError(
-            f"block corner enumeration has {n_combos} combinations (> {max_combos})"
+            f"block corner enumeration has {n_combos} combinations (> {MAX_CORNER_COMBOS})"
         )
 
     grids = np.meshgrid(*(e_choices + d_choices), indexing="ij") if (e_choices or d_choices) else []
@@ -454,32 +330,6 @@ def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block,
     return BlockBounds(
         block=block,
         relevant_buses=tuple(relevant),
-        relevant_edges=tuple(ln.key for ln in edges),
-        J_lo=D_stack.min(axis=0),
-        J_hi=D_stack.max(axis=0),
-        D_stack=D_stack,
-        hypothesis_failures=fails,
-    )
-
-
-def _entry_bounds_from_samples(case, Y, block, samples):
-    inv_order = list(case.inverter_ids)
-    idx = []
-    for i in block:
-        p = inv_order.index(i)
-        idx.extend([2 * p, 2 * p + 1])
-    mats = []
-    for x in samples:
-        J = jacobians(case, Y, x).J_I
-        mats.append(J[np.ix_(idx, idx)])
-    D_stack = np.array(mats)
-    adj = case.adjacency()
-    relevant = sorted(set(block) | {v for b in block for v in adj[b]})
-    edges = tuple(ln.key for ln in case.lines if ln.from_bus in block or ln.to_bus in block)
-    return BlockBounds(
-        block=tuple(block),
-        relevant_buses=tuple(relevant),
-        relevant_edges=edges,
         J_lo=D_stack.min(axis=0),
         J_hi=D_stack.max(axis=0),
         D_stack=D_stack,
@@ -490,9 +340,6 @@ def _entry_bounds_from_samples(case, Y, block, samples):
 # interval hull
 # ---------------------------------------------------------------------------
 
-HULL_JBAR = "jbar"
-HULL_DBAR = "dbar"
-
 
 @dataclass(frozen=True)
 class IntervalHull:
@@ -500,7 +347,6 @@ class IntervalHull:
 
     blocks: tuple[tuple[int, ...], ...]
     per_block: tuple[BlockBounds, ...]
-    kind: str
     J_lo: np.ndarray
     J_hi: np.ndarray
     inverter_order: tuple[int, ...]
@@ -514,34 +360,13 @@ class IntervalHull:
             idx.extend([2 * p, 2 * p + 1])
         return idx
 
-    def block_vertices(self, block_index: int, budget: int = 1 << 20) -> np.ndarray:
-        """Vertex matrices of one block's hull, per the hull kind."""
-        bb = self.per_block[block_index]
-        if self.kind == HULL_JBAR:
-            return bb.D_stack
-        m = bb.J_lo.shape[0]
-        count = 2 ** (m * m)
-        if count > budget:
-            raise ValidationError(
-                f"interval-box hull for block {bb.block} has {count} vertices "
-                f"(> {budget}); use the Jacobian-sample hull"
-            )
-        lo, hi = bb.J_lo.reshape(-1), bb.J_hi.reshape(-1)
-        out = np.empty((count, m, m))
-        for k, bits in enumerate(itertools.product((0, 1), repeat=m * m)):
-            out[k] = np.where(np.array(bits, dtype=bool), hi, lo).reshape(m, m)
-        return out
 
-
-def build_hull(case: NetworkCase, Y: AdmittanceMatrix | None = None,
-               kind: str = HULL_JBAR) -> IntervalHull:
+def build_hull(case: NetworkCase, Y: AdmittanceMatrix | None = None) -> IntervalHull:
     """Compute per-block entry bounds and stack them into the full hull."""
     from .netmodel import build_admittance
 
     if Y is None:
         Y = build_admittance(case)
-    if kind not in (HULL_JBAR, HULL_DBAR):
-        raise ValidationError(f"unknown hull kind {kind!r}")
     blocks = blocks_of(case)
     per_block = tuple(entry_bounds(case, Y, blk) for blk in blocks)
     n_i = case.n_inverters
@@ -550,7 +375,6 @@ def build_hull(case: NetworkCase, Y: AdmittanceMatrix | None = None,
     hull = IntervalHull(
         blocks=blocks,
         per_block=per_block,
-        kind=kind,
         J_lo=J_lo,
         J_hi=J_hi,
         inverter_order=case.inverter_ids,
@@ -584,8 +408,13 @@ def _sym_eig_max(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[:, -1]
 
 
-def block_feasibility(gains: GainSet, hull: IntervalHull, d: float,
-                      budget: int = 1 << 20) -> BlockFeasibility:
+def block_eig_max(D_stack: np.ndarray, K_b: np.ndarray) -> np.ndarray:
+    """lambda_max(D K_b + K_b^T D^T) for every vertex matrix D of a block."""
+    H = np.einsum("kij,jl->kil", D_stack, K_b)
+    return _sym_eig_max(H + H.transpose(0, 2, 1))
+
+
+def block_feasibility(gains: GainSet, hull: IntervalHull, d: float) -> BlockFeasibility:
     """Check lambda_max(D K_b + K_b^T D^T) <= -d on every block vertex.
 
     Negative definiteness with uniform margin d over every block hull is
@@ -596,11 +425,7 @@ def block_feasibility(gains: GainSet, hull: IntervalHull, d: float,
     worst_block, worst_vertex = None, -1
     per_block = []
     for bi, blk in enumerate(hull.blocks):
-        K_b = gains.stacked(blk)
-        D = hull.block_vertices(bi, budget=budget)
-        H = np.einsum("kij,jl->kil", D, K_b)
-        H = H + H.transpose(0, 2, 1)
-        eigs = _sym_eig_max(H)
+        eigs = block_eig_max(hull.per_block[bi].D_stack, gains.stacked(blk))
         k_star = int(np.argmax(eigs))
         per_block.append(float(eigs[k_star]))
         if eigs[k_star] > worst:
@@ -634,24 +459,22 @@ def _attainer_subset(bb: BlockBounds) -> np.ndarray:
     return _dedup_stack(bb.D_stack[sorted(idx)])
 
 
-def certification_vertices(hull: IntervalHull, budget: int = 200_000) -> np.ndarray:
+def certification_vertices(hull: IntervalHull) -> np.ndarray:
     """Global block-diagonal vertex matrices for the quadratic check.
 
-    The full cartesian product of per-block vertex lists when it fits the
-    budget; otherwise each block list is first reduced to the samples that
-    attain some entrywise extreme (the block-level checks still sweep the
-    complete lists).
+    The full cartesian product of per-block vertex lists when it fits
+    VERTEX_BUDGET; otherwise each block list is first reduced to the
+    samples that attain some entrywise extreme (the block-level checks
+    still sweep the complete lists).
     """
-    per_block = [
-        _dedup_stack(hull.block_vertices(bi)) for bi in range(len(hull.blocks))
-    ]
+    per_block = [_dedup_stack(bb.D_stack) for bb in hull.per_block]
     total = int(np.prod([len(s) for s in per_block]))
-    if total > budget:
+    if total > VERTEX_BUDGET:
         per_block = [_attainer_subset(bb) for bb in hull.per_block]
         total = int(np.prod([len(s) for s in per_block]))
-        if total > budget:
+        if total > VERTEX_BUDGET:
             raise ValidationError(
-                f"certification vertex product still has {total} matrices (> {budget})"
+                f"certification vertex product still has {total} matrices (> {VERTEX_BUDGET})"
             )
     n = 2 * len(hull.inverter_order)
     out = np.zeros((total, n, n))
@@ -688,13 +511,20 @@ class StabilityCertificate:
             raise ValidationError("certificate U must be square")
         if np.abs(U - U.T).max() > 1e-10 * max(1.0, np.abs(U).max()):
             raise ValidationError("certificate U must be symmetric")
+        if not np.all(np.isfinite(U)):
+            raise ValidationError("certificate U must be finite")
         if np.linalg.eigvalsh(U)[0] <= 0.0:
             raise ValidationError("certificate U must be positive definite")
         for name in ("eps", "xi", "zeta", "d"):
-            if getattr(self, name) <= 0.0:
-                raise ValidationError(f"certificate field {name} must be positive")
-        if self.zeta_mode not in (ZETA_SQUARED, ZETA_LITERAL):
-            raise ValidationError(f"unknown zeta mode {self.zeta_mode!r}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(f"certificate field {name} must be positive and finite")
+        if self.hull_kind != HULL_JBAR:
+            raise CertificateError(f"unsupported hull kind {self.hull_kind!r} (only {HULL_JBAR!r})")
+        if self.zeta_mode != ZETA_SQUARED:
+            raise CertificateError(
+                f"unsupported zeta mode {self.zeta_mode!r} (only {ZETA_SQUARED!r})"
+            )
         U.setflags(write=False)
         object.__setattr__(self, "U", U)
 
@@ -736,8 +566,8 @@ def parse_certificate(text: str) -> StabilityCertificate:
             digest=raw.get("digest", ""),
             meta=raw.get("meta", {}),
         )
-    except (KeyError, ValueError, ValidationError) as exc:
-        raise CertificateError(f"bad certificate: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CertificateError(f"bad certificate ({type(exc).__name__}: {exc})") from None
 
 
 def load_certificate(path, case: NetworkCase | None = None,
@@ -763,10 +593,10 @@ def reduced_closed_loop(D_stack: np.ndarray, K: np.ndarray, Lbar: np.ndarray,
     return np.einsum("ji,kjl,lm->kim", basis.T1, D_stack, R, optimize=True)
 
 
-def _margin_stack(A_stack, U, eps, xi, zeta, zeta_mode, chunk=4096):
+def _margin_stack(A_stack, U, eps, xi, zeta, chunk=4096):
     """Worst-margin lambda_max of the quadratic-form matrix per vertex."""
     m = U.shape[0]
-    zz = zeta ** 2 if zeta_mode == ZETA_SQUARED else zeta
+    zz = zeta ** 2
     out = np.empty(A_stack.shape[0])
     eye = np.eye(m)
     for s in range(0, A_stack.shape[0], chunk):
@@ -804,17 +634,15 @@ def verify_certificate(
     cert: StabilityCertificate,
     vertex_matrices: np.ndarray | None = None,
     tol: float = EIG_TOL,
-    budget: int = 200_000,
 ) -> VerificationReport:
     """Re-check the certificate inequalities at every supplied hull vertex.
 
-    When no vertex matrices are given they are rebuilt from the case with
-    the certificate's hull kind.  The report carries per-vertex margins;
+    When no vertex matrices are given they are rebuilt from the case.  The
+    report carries per-vertex margins;
     the certificate passes when every margin is at most ``tol``.
     """
     if vertex_matrices is None:
-        hull = build_hull(case, kind=cert.hull_kind)
-        vertex_matrices = certification_vertices(hull, budget=budget)
+        vertex_matrices = certification_vertices(build_hull(case))
     lap = laplacian(case.comm_edges, case.inverter_ids)
     if not lap.connected:
         raise ValidationError("comm graph disconnected; certificate undefined")
@@ -824,7 +652,7 @@ def verify_certificate(
     m = 2 * (case.n_inverters - 1)
     if cert.U.shape != (m, m):
         raise CertificateError(f"certificate U has shape {cert.U.shape}, expected {(m, m)}")
-    margins = _margin_stack(A_stack, cert.U, cert.eps, cert.xi, cert.zeta, cert.zeta_mode)
+    margins = _margin_stack(A_stack, cert.U, cert.eps, cert.xi, cert.zeta)
     worst = int(np.argmax(margins))
     return VerificationReport(
         passed=bool(margins[worst] <= tol),
@@ -1062,9 +890,8 @@ def stage1_gains(
     """
     theta_max, e_max = rate_limits
     K_blocks = {}
-    for bi, blk in enumerate(hull.blocks):
-        D = hull.block_vertices(bi)
-        K_blocks.update(_stage1_block(case, blk, D, rate_limits, box, iters))
+    for blk, bb in zip(hull.blocks, hull.per_block):
+        K_blocks.update(_stage1_block(case, blk, bb.D_stack, rate_limits, box, iters))
 
     gains = GainSet(blocks={i: K.copy() for i, K in K_blocks.items()},
                     theta_dot_max=theta_max, E_dot_max=e_max)
@@ -1104,10 +931,9 @@ def _golden_min(f, lo: float, hi: float, iters: int = 40):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _schur_surrogate_eps(U: np.ndarray, zeta: float, zeta_mode: str) -> float:
+def _schur_surrogate_eps(U: np.ndarray, zeta: float) -> float:
     """Golden-section on the scalar Schur trade-off eps*z + lmax(U)^2/eps."""
-    zz = zeta ** 2 if zeta_mode == ZETA_SQUARED else zeta
-    zz = max(zz, 1e-16)
+    zz = max(zeta ** 2, 1e-16)
     umax = float(np.linalg.eigvalsh(U)[-1])
     log_eps, _ = _golden_min(
         lambda le: (10.0 ** le) * zz + umax ** 2 / (10.0 ** le), -12.0, 6.0
@@ -1123,7 +949,7 @@ def _cvxpy_or_none():
     return cvxpy
 
 
-def _lmi_max_slack(A_sub: np.ndarray, xi: float, zeta: float, zeta_mode: str):
+def _lmi_max_slack(A_sub: np.ndarray, xi: float, zeta: float):
     """Max-slack (U, eps) for the fixed-xi inequalities on a constraint subset.
 
     With the gains fixed, xi and zeta fixed, the quadratic-form conditions
@@ -1134,7 +960,7 @@ def _lmi_max_slack(A_sub: np.ndarray, xi: float, zeta: float, zeta_mode: str):
     if cp is None:
         return None
     m = A_sub.shape[1]
-    zz = zeta ** 2 if zeta_mode == ZETA_SQUARED else zeta
+    zz = zeta ** 2
     eye = np.eye(m)
     U = cp.Variable((m, m), symmetric=True)
     eps = cp.Variable()
@@ -1161,8 +987,6 @@ def certificate_for_gains(
     gains: GainSet,
     hull: IntervalHull | None = None,
     zeta: float | None = None,
-    zeta_mode: str = ZETA_SQUARED,
-    vertex_budget: int = 200_000,
     u_steps: int = 25,
     xi_resolution: float = 1e-6,
     samples=None,
@@ -1207,7 +1031,7 @@ def certificate_for_gains(
     basis = build_basis(case.n_inverters)
     K = gains.stacked(case.inverter_ids)
     Lbar = lap.kron2()
-    vmats = certification_vertices(hull, budget=vertex_budget)
+    vmats = certification_vertices(hull)
     A_stack = reduced_closed_loop(vmats, K, Lbar, basis)
     m = 2 * (case.n_inverters - 1)
 
@@ -1215,13 +1039,13 @@ def certificate_for_gains(
     candidates = [np.eye(m), Lbar1 / np.linalg.eigvalsh(Lbar1)[-1]]
 
     def worst_margin(U, eps, xi, z):
-        return float(np.max(_margin_stack(A_stack, U, eps, xi, z, zeta_mode)))
+        return float(np.max(_margin_stack(A_stack, U, eps, xi, z)))
 
     def descend_U(U, eps, xi, z, budget):
         """Eigenvalue-subgradient steps on the worst vertex margin w.r.t. U."""
-        zz = z ** 2 if zeta_mode == ZETA_SQUARED else z
+        zz = z ** 2
         for step_idx in range(budget):
-            margins = _margin_stack(A_stack, U, eps, xi, z, zeta_mode)
+            margins = _margin_stack(A_stack, U, eps, xi, z)
             k_star = int(np.argmax(margins))
             if margins[k_star] <= 0.0:
                 return U, True
@@ -1238,8 +1062,8 @@ def certificate_for_gains(
             w_u = np.maximum(w_u, 1e-8 * max(w_u[-1], 1e-12))
             U = (V_u * w_u) @ V_u.T
             U /= np.linalg.eigvalsh(U)[-1]
-            eps = _schur_surrogate_eps(U, z, zeta_mode)
-        margins = _margin_stack(A_stack, U, eps, xi, z, zeta_mode)
+            eps = _schur_surrogate_eps(U, z)
+        margins = _margin_stack(A_stack, U, eps, xi, z)
         return U, bool(np.max(margins) <= 0.0)
 
     def bisect_xi(U, eps, z):
@@ -1263,11 +1087,11 @@ def certificate_for_gains(
         best = None
         for U0 in candidates:
             U = U0.copy()
-            eps = _schur_surrogate_eps(U, z, zeta_mode)
+            eps = _schur_surrogate_eps(U, z)
             U, ok = descend_U(U, eps, 1e-12, z, u_steps)
             if not ok:
                 continue
-            eps = _schur_surrogate_eps(U, z, zeta_mode)
+            eps = _schur_surrogate_eps(U, z)
             xi = bisect_xi(U, eps, z)
             if xi is None:
                 continue
@@ -1276,7 +1100,7 @@ def certificate_for_gains(
                 U_try, ok = descend_U(U.copy(), eps, target, z, u_steps)
                 if not ok:
                     break
-                eps_try = _schur_surrogate_eps(U_try, z, zeta_mode)
+                eps_try = _schur_surrogate_eps(U_try, z)
                 xi_try = bisect_xi(U_try, eps_try, z)
                 if xi_try is None or xi_try <= xi + xi_resolution:
                     break
@@ -1291,16 +1115,16 @@ def certificate_for_gains(
         """Exact max-slack solve at fixed xi via constraint generation."""
         nonlocal active
         if not active:
-            margins0 = _margin_stack(A_stack, candidates[0], 1.0, xi, z, zeta_mode)
+            margins0 = _margin_stack(A_stack, candidates[0], 1.0, xi, z)
             active = list(np.argsort(margins0)[-min(48, len(margins0)):])
         for _ in range(24):
-            res = _lmi_max_slack(A_stack[active], xi, z, zeta_mode)
+            res = _lmi_max_slack(A_stack[active], xi, z)
             if res is None:
                 return None
             U, eps, t = res
             if t <= 1e-12 or eps <= 0.0 or np.linalg.eigvalsh(U)[0] <= 0.0:
                 return None
-            margins = _margin_stack(A_stack, U, eps, xi, z, zeta_mode)
+            margins = _margin_stack(A_stack, U, eps, xi, z)
             worst = float(margins.max())
             if worst <= -0.5 * t or (worst <= 0.0 and t <= 1e-9):
                 return U, eps, t
@@ -1362,8 +1186,6 @@ def certificate_for_gains(
         xi=max(xi, 1e-12),
         zeta=z_used,
         d=max(d_margin, 1e-12),
-        hull_kind=hull.kind,
-        zeta_mode=zeta_mode,
         digest=compute_digest(case, gains),
         meta={
             "zeta_requested": zeta_requested,
@@ -1387,7 +1209,6 @@ def synthesize_gains(
     rate_limits: tuple[float, float] | None = None,
     capacity: CapacityBox | None = None,
     zeta: float | None = None,
-    zeta_mode: str = ZETA_SQUARED,
     stage1_iters: int = 400,
 ) -> tuple[GainSet, StabilityCertificate]:
     """Full two-stage synthesis: gains via per-block subgradient descent,
@@ -1402,5 +1223,5 @@ def synthesize_gains(
     if capacity is None:
         capacity = CapacityBox.default_from_case(case)
     gains = stage1_gains(case, hull, rate_limits, capacity, iters=stage1_iters)
-    cert = certificate_for_gains(case, gains, hull, zeta=zeta, zeta_mode=zeta_mode)
+    cert = certificate_for_gains(case, gains, hull, zeta=zeta)
     return gains, cert

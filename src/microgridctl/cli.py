@@ -24,7 +24,6 @@ from .certify import (
     build_hull,
     certificate_for_gains,
     certificate_to_json,
-    compute_digest,
     hypothesis_violations,
     load_certificate,
     synthesize_gains,
@@ -107,10 +106,7 @@ def _cmd_certify(args) -> int:
     print(f"block feasibility: {'PASS' if feas.passed else 'FAIL'} "
           f"(worst eigenvalue {feas.worst:.6e}, margin d = {-feas.worst:.6e})")
     if args.cert:
-        cert = load_certificate(args.cert)
-        if cert.digest and cert.digest != compute_digest(case, gains):
-            print("certificate digest does not match this case + gains", file=sys.stderr)
-            return EXIT_CERTIFICATE
+        cert = load_certificate(args.cert, case, gains)
         report = verify_certificate(case, gains, cert)
         print(f"certificate: {report.format()}")
         return EXIT_OK if report.passed else EXIT_CERTIFICATE

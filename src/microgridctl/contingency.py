@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .netmodel import CommLaplacian, Load, NetworkCase, ValidationError, laplacian
-from .certify import EIG_TOL, IntervalHull
+from .certify import EIG_TOL, IntervalHull, block_eig_max
 from .controller import GainSet
 
 DER_LOSS = "der_loss"
@@ -179,12 +179,9 @@ def inherited_feasibility(
         idx = []
         for i in keep:
             idx.extend([2 * pos[i], 2 * pos[i] + 1])
-        full = hull.block_vertices(bi)
+        full = hull.per_block[bi].D_stack
         D = full[np.ix_(range(full.shape[0]), idx, idx)]
-        K_b = gains.stacked(keep)
-        H = np.einsum("kij,jl->kil", D, K_b)
-        H = H + H.transpose(0, 2, 1)
-        worst = max(worst, float(np.linalg.eigvalsh(H)[:, -1].max()))
+        worst = max(worst, float(block_eig_max(D, gains.stacked(keep)).max()))
     if not any_checked:
         return InheritedFeasibility(
             checked=False, passed=False, worst=float("nan"), margin=float("nan"),

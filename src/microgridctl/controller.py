@@ -3,6 +3,8 @@
 Each inverter integrates its voltage phasor according to a 2x2 gain times
 the comm-graph Laplacian acting on the neighbors' normalized injection
 pairs, with elementwise rate saturation and local voltage-bound clamping.
+``control_derivative`` is the one implementation of the law; the
+simulator calls it at every stage.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import CommLaplacian, NetworkCase, ParseError, ValidationError
-from .powerflow import VoltageProfile
+from .netmodel import CaseError, CommLaplacian, NetworkCase, ParseError, ValidationError
 
 # Default rate limits: +-0.3 Hz of frequency headroom and 0.05 p.u./s of
 # voltage slew, expressed on the internal rad/s and p.u./s scales.
@@ -40,14 +41,6 @@ def consensus_patterns(n_inverters: int):
     return v_p, v_q
 
 
-def distance_to_consensus(S_I: np.ndarray) -> float:
-    """Euclidean distance from a stacked S_I vector to the sharing space."""
-    n_inv = len(S_I) // 2
-    v_p, v_q = consensus_patterns(n_inv)
-    proj = (S_I @ v_p) / n_inv * v_p + (S_I @ v_q) / n_inv * v_q
-    return float(np.linalg.norm(S_I - proj))
-
-
 @dataclass(frozen=True)
 class GainSet:
     """Per-inverter 2x2 gain blocks plus the runtime rate limits.
@@ -65,13 +58,15 @@ class GainSet:
     def __post_init__(self):
         if not self.blocks:
             raise ValidationError("gain set is empty")
-        if self.theta_dot_max <= 0.0 or self.E_dot_max <= 0.0:
-            raise ValidationError("rate limits must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.theta_dot_max, self.E_dot_max)):
+            raise ValidationError("rate limits must be positive and finite")
         clean = {}
         for bus_id, K in sorted(self.blocks.items()):
             K = np.array(K, dtype=float)
             if K.shape != (2, 2):
                 raise ValidationError(f"gain block for bus {bus_id} must be 2x2")
+            if not np.all(np.isfinite(K)):
+                raise ValidationError(f"gain block for bus {bus_id} must be finite")
             K.setflags(write=False)
             clean[int(bus_id)] = K
         object.__setattr__(self, "blocks", clean)
@@ -94,83 +89,75 @@ class GainSet:
                     "block breaks the equilibrium equivalence"
                 )
 
-    def stacked(self, active_ids) -> np.ndarray:
-        """Block-diagonal gain over the given inverter ids (sorted order)."""
-        ids = sorted(active_ids)
-        K = np.zeros((2 * len(ids), 2 * len(ids)))
-        for k, i in enumerate(ids):
+    def per_inverter(self, ids) -> np.ndarray:
+        """(m, 2, 2) stack of the gain blocks of the given inverter ids, in order."""
+        for i in ids:
             if i not in self.blocks:
                 raise ValidationError(f"no gain block for inverter bus {i}")
-            K[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = self.blocks[i]
+        return np.array([self.blocks[i] for i in ids]).reshape(-1, 2, 2)
+
+    def stacked(self, active_ids) -> np.ndarray:
+        """Block-diagonal gain over the given inverter ids (sorted order)."""
+        blocks = self.per_inverter(sorted(active_ids))
+        K = np.zeros((2 * len(blocks), 2 * len(blocks)))
+        for k, K_k in enumerate(blocks):
+            K[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = K_k
         return K
 
 
 @dataclass(frozen=True)
 class ControlState:
-    """Current communication topology as seen by the controller.
+    """The controller's view of one operating condition, built once by ``of``.
 
-    ``last_derivative`` is a diagnostics slot (stacked rates from the most
-    recent evaluation); the law itself is stateless.
+    ``lap`` is the comm-graph Laplacian over the active inverters
+    (``lap.order``, ascending); the arrays follow that order: the 2x2 gain
+    blocks, the nominal injections P*/Q* and the voltage bounds.
     """
 
-    active: tuple[int, ...]
     lap: CommLaplacian
-    last_derivative: np.ndarray | None = None
+    K: np.ndarray
+    p_star: np.ndarray
+    q_star: np.ndarray
+    e_lo: np.ndarray
+    e_hi: np.ndarray
+    theta_dot_max: float
+    E_dot_max: float
 
-    def __post_init__(self):
-        if tuple(sorted(self.active)) != self.lap.order:
-            raise ValidationError("ControlState active set inconsistent with Laplacian order")
+    @staticmethod
+    def of(case: NetworkCase, gains: GainSet, lap: CommLaplacian) -> "ControlState":
+        buses = [case.buses[i] for i in lap.order]
+        return ControlState(
+            lap=lap,
+            K=gains.per_inverter(lap.order),
+            p_star=np.array([b.P_star for b in buses]),
+            q_star=np.array([b.Q_star for b in buses]),
+            e_lo=np.array([b.E_min for b in buses]),
+            e_hi=np.array([b.E_max for b in buses]),
+            theta_dot_max=gains.theta_dot_max,
+            E_dot_max=gains.E_dot_max,
+        )
 
-    def with_derivative(self, xdot: np.ndarray) -> "ControlState":
-        return ControlState(active=self.active, lap=self.lap, last_derivative=xdot.copy())
 
+def control_derivative(state: ControlState, P, Q, E):
+    """Rate-saturated, voltage-clamped (theta_dot, E_dot) per active inverter.
 
-def control_derivative(gains: GainSet, state: ControlState, S_I: np.ndarray) -> np.ndarray:
-    """Stacked [theta_dot, E_dot] per active inverter, rate-saturated.
-
-    xdot_i = K_i sum_j L(i,j) S_j, then elementwise clipping at the
-    theta/E rate limits.
+    P, Q and E are the active inverters' injections and magnitudes in
+    ``state.lap.order``.  The law normalizes the injections by P*/Q*, mixes
+    them through the Laplacian, applies each inverter's gain block, clips
+    the rates at the limits and zeroes any E_dot pointing out of the
+    voltage box.  Returns the (m, 2) rates and the number of clamped
+    inverters.
     """
-    order = state.lap.order
-    m = len(order)
-    if S_I.shape != (2 * m,):
-        raise ValidationError(f"S_I must have length {2 * m}, got {S_I.shape}")
-    mix = state.lap.L @ S_I.reshape(m, 2)
-    xdot = np.empty(2 * m)
-    for k, i in enumerate(order):
-        xdot[2 * k : 2 * k + 2] = gains.blocks[i] @ mix[k]
-    return saturate(xdot, gains.theta_dot_max, gains.E_dot_max)
-
-
-def saturate(xdot: np.ndarray, theta_dot_max: float, E_dot_max: float) -> np.ndarray:
-    out = xdot.copy()
-    np.clip(out[0::2], -theta_dot_max, theta_dot_max, out=out[0::2])
-    np.clip(out[1::2], -E_dot_max, E_dot_max, out=out[1::2])
-    return out
-
-
-def project_security(
-    case: NetworkCase,
-    x: VoltageProfile,
-    xdot_I: np.ndarray,
-    active_ids=None,
-):
-    """Zero any voltage derivative pointing out of the magnitude box.
-
-    Only per-bus voltage bounds are locally enforceable; branch angles are
-    monitored by the simulator, not projected.  Returns the admissible
-    derivative and the tuple of clamped bus ids.
-    """
-    ids = sorted(active_ids) if active_ids is not None else list(case.inverter_ids)
-    out = xdot_I.copy()
-    clamped = []
-    for k, i in enumerate(ids):
-        e = x.E[i]
-        ed = out[2 * k + 1]
-        if (e >= case.buses[i].E_max and ed > 0.0) or (e <= case.buses[i].E_min and ed < 0.0):
-            out[2 * k + 1] = 0.0
-            clamped.append(i)
-    return out, tuple(clamped)
+    S = np.empty((len(state.p_star), 2))
+    S[:, 0] = P / state.p_star
+    S[:, 1] = Q / state.q_star
+    mix = state.lap.L @ S
+    xdot = np.einsum("kij,kj->ki", state.K, mix)
+    np.clip(xdot[:, 0], -state.theta_dot_max, state.theta_dot_max, out=xdot[:, 0])
+    np.clip(xdot[:, 1], -state.E_dot_max, state.E_dot_max, out=xdot[:, 1])
+    clamp = ((E >= state.e_hi) & (xdot[:, 1] > 0.0)) | ((E <= state.e_lo) & (xdot[:, 1] < 0.0))
+    xdot[clamp, 1] = 0.0
+    return xdot, int(clamp.sum())
 
 
 def frequency_of(theta_dot, omega0: float):
@@ -195,17 +182,17 @@ def parse_gains(text: str) -> GainSet:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in gains file: {exc}") from None
-    if "gains_mrad_mV" not in raw:
-        raise ParseError("gains file missing 'gains_mrad_mV'")
-    blocks = {}
-    for key, mat in raw["gains_mrad_mV"].items():
-        try:
-            blocks[int(key)] = np.array(mat, dtype=float) * MILLI
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad gain block for bus {key!r}: {exc}") from None
-    limits = raw.get("rate_limits", {})
-    theta_dot_max = 2.0 * math.pi * float(limits.get("freq_dev_max_hz", 0.3))
-    e_dot_max = float(limits.get("E_dot_max_pu_per_s", 0.05))
+    try:
+        if "gains_mrad_mV" not in raw:
+            raise ParseError("gains file missing 'gains_mrad_mV'")
+        blocks = {int(k): np.array(m, dtype=float) * MILLI for k, m in raw["gains_mrad_mV"].items()}
+        limits = raw.get("rate_limits", {})
+        theta_dot_max = 2.0 * math.pi * float(limits.get("freq_dev_max_hz", 0.3))
+        e_dot_max = float(limits.get("E_dot_max_pu_per_s", 0.05))
+    except CaseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed gains file ({type(exc).__name__}: {exc})") from None
     return GainSet(blocks=blocks, theta_dot_max=theta_dot_max, E_dot_max=e_dot_max)
 
 

@@ -39,11 +39,9 @@ def bundled_synth_gains() -> GainSet:
     return load_gains(data_path(GAINS14_SYNTH))
 
 
-def bundled_certificate(check_digest: bool = True) -> StabilityCertificate:
-    """The stored certificate for the synthesized gains."""
-    if check_digest:
-        return load_certificate(data_path(CERT14), bundled_case(), bundled_synth_gains())
-    return load_certificate(data_path(CERT14))
+def bundled_certificate() -> StabilityCertificate:
+    """The stored certificate for the synthesized gains, its digest checked."""
+    return load_certificate(data_path(CERT14), bundled_case(), bundled_synth_gains())
 
 
 def bundled_scenario(name: str) -> Scenario:

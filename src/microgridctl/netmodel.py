@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,16 +82,8 @@ class Load:
         return Load(kind=CONSTANT_IMPEDANCE, G=G, B=B)
 
     def demand(self, E: float):
-        """Consumed (P, Q) at voltage magnitude E."""
-        if self.kind == CONSTANT_POWER:
-            return self.P, self.Q
-        return self.G * E * E, self.B * E * E
-
-    def demand_derivative(self, E: float):
-        """d(P, Q)/dE of the consumed power."""
-        if self.kind == CONSTANT_POWER:
-            return 0.0, 0.0
-        return 2.0 * self.G * E, 2.0 * self.B * E
+        """Consumed (P, Q) at voltage magnitude E (the unused pair is zero)."""
+        return self.P + self.G * E * E, self.Q + self.B * E * E
 
     @property
     def linear(self) -> bool:
@@ -101,6 +95,29 @@ class Load:
         if not self.linear:
             raise ValidationError("only linear loads map to a shunt")
         return complex(self.G, -self.B)
+
+
+class LoadArrays(NamedTuple):
+    """The loads of a list of algebraic buses, one parameter array per field."""
+
+    P: np.ndarray
+    Q: np.ndarray
+    G: np.ndarray
+    B: np.ndarray
+
+    @staticmethod
+    def of(loads, ids) -> "LoadArrays":
+        """Arrays over ``ids`` from a bus id -> Load mapping."""
+        return LoadArrays(*(np.array([getattr(loads[i], f) for i in ids], dtype=float)
+                            for f in "PQGB"))
+
+    def demand(self, E: np.ndarray):
+        """Consumed (P, Q) at the magnitudes E: P + G E^2, Q + B E^2."""
+        return self.P + self.G * E * E, self.Q + self.B * E * E
+
+    def demand_derivative(self, E: np.ndarray):
+        """d(P, Q)/dE of the consumed power: 2 G E, 2 B E."""
+        return 2.0 * self.G * E, 2.0 * self.B * E
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,8 @@ class Bus:
     def __post_init__(self):
         if self.kind not in (INVERTER, LOAD):
             raise ValidationError(f"bus {self.id}: unknown kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.E_min, self.E_max, self.P_star, self.Q_star)):
+            raise ValidationError(f"bus {self.id}: E_min, E_max, P_star and Q_star must be finite")
         if not (0.0 < self.E_min < self.E_max):
             raise ValidationError(
                 f"bus {self.id}: need 0 < E_min < E_max, got [{self.E_min}, {self.E_max}]"
@@ -148,6 +167,10 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ValidationError(f"line {self.from_bus}-{self.to_bus}: from == to")
+        if not all(math.isfinite(v) for v in (self.R, self.X, self.B_sh)) or math.isnan(self.I_max):
+            raise ValidationError(
+                f"line {self.from_bus}-{self.to_bus}: R, X and B_sh must be finite, I_max a number"
+            )
         if self.R == 0.0 and self.X == 0.0:
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: singular impedance (R = X = 0)"
@@ -170,25 +193,37 @@ def _as_edge(pair) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _connected(node_ids, edges) -> bool:
-    """True iff the undirected graph on node_ids with the given edges is connected."""
-    nodes = list(node_ids)
-    if len(nodes) <= 1:
-        return True
-    adj = {i: set() for i in nodes}
-    for a, b in edges:
+def bfs_tree(nodes, edges, root):
+    """Breadth-first spanning tree of the part of a graph reachable from root.
+
+    ``edges`` is a sequence of (a, b) pairs; pairs with an end outside
+    ``nodes`` are ignored.  Each bus's neighbours are visited in ascending
+    (bus, edge index) order, first in first out.  Returns one
+    (parent, child, edge_index, sign) tuple per tree edge in visiting
+    order; sign +1 means the edge is stored as parent -> child.
+    """
+    adj = {v: [] for v in nodes}
+    for k, (a, b) in enumerate(edges):
         if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
+            adj[a].append((b, k, +1))
+            adj[b].append((a, k, -1))
+    seen = {root}
+    tree = []
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v, k, sign in sorted(adj[u]):
             if v not in seen:
                 seen.add(v)
-                stack.append(v)
-    return len(seen) == len(nodes)
+                tree.append((u, v, k, sign))
+                queue.append(v)
+    return tree
+
+
+def connected(nodes, edges) -> bool:
+    """True iff the undirected graph on nodes with the given edges is connected."""
+    nodes = list(nodes)
+    return len(nodes) <= 1 or len(bfs_tree(nodes, edges, nodes[0])) == len(nodes) - 1
 
 
 @dataclass(frozen=True)
@@ -218,8 +253,8 @@ class NetworkCase:
             raise ValidationError(f"bus ids must be dense 0..n-1, got {ids}")
         if not (0.0 <= self.gamma < math.pi / 2):
             raise ValidationError(f"gamma must lie in [0, pi/2), got {self.gamma}")
-        if self.omega0 <= 0.0:
-            raise ValidationError("omega0 must be positive")
+        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
+            raise ValidationError("omega0 must be positive and finite")
 
         n = len(buses)
         seen_lines = set()
@@ -230,7 +265,7 @@ class NetworkCase:
             if ln.key in seen_lines:
                 raise ValidationError(f"duplicate line {ln.key}")
             seen_lines.add(ln.key)
-        if not _connected(range(n), seen_lines):
+        if not connected(range(n), seen_lines):
             raise ValidationError("electrical graph connected: violated")
 
         inv = tuple(b.id for b in buses if b.kind == INVERTER)
@@ -246,7 +281,7 @@ class NetworkCase:
         for a, b in edges:
             if a not in inv or b not in inv:
                 raise ValidationError(f"comm edge ({a}, {b}) touches a non-inverter bus")
-        if not _connected(inv, edges):
+        if not connected(inv, edges):
             raise ValidationError("comm graph disconnected")
         object.__setattr__(self, "comm_edges", tuple(edges))
 
@@ -259,18 +294,6 @@ class NetworkCase:
     @property
     def n_inverters(self) -> int:
         return len(self.inverter_ids)
-
-    @property
-    def n_loads(self) -> int:
-        return len(self.load_ids)
-
-    @property
-    def state_order(self) -> tuple[int, ...]:
-        """Bus ids in state-vector order: inverters first, then loads."""
-        return self.inverter_ids + self.load_ids
-
-    def bus(self, bus_id: int) -> Bus:
-        return self.buses[bus_id]
 
     def e_min(self) -> np.ndarray:
         return np.array([b.E_min for b in self.buses])
@@ -294,9 +317,6 @@ class NetworkCase:
             adj[ln.from_bus].add(ln.to_bus)
             adj[ln.to_bus].add(ln.from_bus)
         return adj
-
-    def line_keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple(ln.key for ln in self.lines)
 
 
 # ---------------------------------------------------------------------------
@@ -331,38 +351,24 @@ class AdmittanceMatrix:
     def n(self) -> int:
         return self.Y.shape[0]
 
-    def conductance(self) -> np.ndarray:
-        return self.Y.real
 
-    def susceptance(self) -> np.ndarray:
-        return self.Y.imag
-
-
-def build_admittance(case: NetworkCase, impedance_loads_as_shunts: bool = False) -> AdmittanceMatrix:
-    """Assemble the dense n x n bus admittance matrix.
+def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
+    """Assemble the dense n x n bus admittance matrix of the lines.
 
     Each line contributes 1/(R+jX) in series and j*B_sh/2 at either end.
-    Constant-impedance loads stay out of the matrix by default (they are
-    handled on the load side of the KCL residual); pass
-    ``impedance_loads_as_shunts=True`` to fold them into the diagonal as
-    G - jB shunts instead.
+    Loads stay out of the matrix: the KCL residual carries them, and
+    ``powerflow.kron_reduce`` folds linear ones in as shunts when it
+    eliminates their buses.
     """
     n = case.n
     Y = np.zeros((n, n), dtype=complex)
     for ln in case.lines:
-        if ln.R == 0.0 and ln.X == 0.0:
-            raise ValidationError(f"line {ln.key}: singular impedance (R = X = 0)")
         y = ln.series_admittance()
         i, j = ln.from_bus, ln.to_bus
         Y[i, i] += y + 0.5j * ln.B_sh
         Y[j, j] += y + 0.5j * ln.B_sh
         Y[i, j] -= y
         Y[j, i] -= y
-    if impedance_loads_as_shunts:
-        for i in case.load_ids:
-            ld = case.buses[i].load
-            if ld.kind == CONSTANT_IMPEDANCE:
-                Y[i, i] += ld.shunt_admittance()
     return AdmittanceMatrix(Y=Y)
 
 
@@ -407,7 +413,7 @@ def laplacian(comm_edges, active_inverters) -> CommLaplacian:
             L[ia, ib] -= 1.0
             L[ib, ia] -= 1.0
             kept.append((a, b))
-    return CommLaplacian(L=L, order=order, connected=_connected(order, kept))
+    return CommLaplacian(L=L, order=order, connected=connected(order, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +421,24 @@ def laplacian(comm_edges, active_inverters) -> CommLaplacian:
 # ---------------------------------------------------------------------------
 
 
-def _load_from_json(obj, bus_id: int) -> Load:
-    try:
-        kind = obj["kind"]
-    except (TypeError, KeyError):
-        raise ParseError(f"bus {bus_id}: load model missing 'kind'")
-    if kind == CONSTANT_POWER:
+def _load_from_json(obj) -> Load:
+    if obj["kind"] == CONSTANT_POWER:
         return Load.constant_power(float(obj["P"]), float(obj["Q"]))
-    if kind == CONSTANT_IMPEDANCE:
+    if obj["kind"] == CONSTANT_IMPEDANCE:
         return Load.constant_impedance(float(obj["G"]), float(obj["B"]))
-    raise ParseError(f"bus {bus_id}: unknown load kind {kind!r}")
+    raise ParseError(f"unknown load kind {obj['kind']!r}")
+
+
+def _bus_from_json(rec) -> Bus:
+    bus_id, kind = int(rec["id"]), rec["kind"]
+    limits = {"id": bus_id, "kind": kind, "E_min": float(rec["E_min"]), "E_max": float(rec["E_max"])}
+    if kind == INVERTER:
+        return Bus(**limits, P_star=float(rec["P_star"]), Q_star=float(rec["Q_star"]))
+    if kind == LOAD:
+        if "load" not in rec:
+            raise ParseError(f"bus {bus_id}: load bus missing 'load' record")
+        return Bus(**limits, load=_load_from_json(rec["load"]))
+    raise ParseError(f"bus {bus_id}: unknown kind {kind!r}")
 
 
 def parse_case(text: str) -> NetworkCase:
@@ -432,81 +446,45 @@ def parse_case(text: str) -> NetworkCase:
 
     Top-level keys: ``buses``, ``lines``, ``comm_edges``, ``params``
     (gamma_deg, f0_hz, base_mva, base_kv).  Angles in the file are degrees
-    and frequencies Hz; everything electrical is per-unit.
+    and frequencies Hz; everything electrical is per-unit.  Malformed input
+    raises ParseError, out-of-range or non-finite values ValidationError.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    try:
+        return _case_from_json(raw)
+    except CaseError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed case ({type(exc).__name__}: {exc})") from None
 
+
+def _case_from_json(raw) -> NetworkCase:
     for key in ("buses", "lines", "comm_edges", "params"):
         if key not in raw:
             raise ParseError(f"missing top-level key {key!r}")
-
-    buses = []
-    for rec in raw["buses"]:
-        try:
-            bus_id = int(rec["id"])
-            kind = rec["kind"]
-            e_min = float(rec["E_min"])
-            e_max = float(rec["E_max"])
-        except ValidationError:
-            raise
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ParseError(f"bad bus record {rec!r}: {exc}") from None
-        if kind == INVERTER:
-            try:
-                p_star = float(rec["P_star"])
-                q_star = float(rec["Q_star"])
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bus {bus_id}: bad inverter record: {exc}") from None
-            buses.append(
-                Bus(id=bus_id, kind=INVERTER, E_min=e_min, E_max=e_max, P_star=p_star, Q_star=q_star)
-            )
-        elif kind == LOAD:
-            if "load" not in rec:
-                raise ParseError(f"bus {bus_id}: load bus missing 'load' record")
-            buses.append(
-                Bus(id=bus_id, kind=LOAD, E_min=e_min, E_max=e_max, load=_load_from_json(rec["load"], bus_id))
-            )
-        else:
-            raise ParseError(f"bus {bus_id}: unknown kind {kind!r}")
-
-    lines = []
-    for rec in raw["lines"]:
-        try:
-            lines.append(
-                Line(
-                    from_bus=int(rec["from"]),
-                    to_bus=int(rec["to"]),
-                    R=float(rec["R"]),
-                    X=float(rec["X"]),
-                    B_sh=float(rec.get("B_sh", 0.0)),
-                    I_max=float(rec.get("I_max", math.inf)),
-                )
-            )
-        except ValidationError:
-            raise
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ParseError(f"bad line record {rec!r}: {exc}") from None
-
+    lines = [
+        Line(
+            from_bus=int(rec["from"]),
+            to_bus=int(rec["to"]),
+            R=float(rec["R"]),
+            X=float(rec["X"]),
+            B_sh=float(rec.get("B_sh", 0.0)),
+            I_max=float(rec.get("I_max", math.inf)),
+        )
+        for rec in raw["lines"]
+    ]
     params = raw["params"]
-    try:
-        gamma = math.radians(float(params["gamma_deg"]))
-        omega0 = 2.0 * math.pi * float(params["f0_hz"])
-        base_mva = float(params.get("base_mva", 100.0))
-        base_kv = float(params.get("base_kv", 13.8))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad params record: {exc}") from None
-
     return NetworkCase(
-        buses=tuple(buses),
+        buses=tuple(_bus_from_json(rec) for rec in raw["buses"]),
         lines=tuple(lines),
         comm_edges=tuple(_as_edge(e) for e in raw["comm_edges"]),
-        gamma=gamma,
-        omega0=omega0,
-        base_mva=base_mva,
-        base_kv=base_kv,
+        gamma=math.radians(float(params["gamma_deg"])),
+        omega0=2.0 * math.pi * float(params["f0_hz"]),
+        base_mva=float(params.get("base_mva", 100.0)),
+        base_kv=float(params.get("base_kv", 13.8)),
     )
 
 

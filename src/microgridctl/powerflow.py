@@ -1,10 +1,11 @@
 """Power-flow quantities and the algebraic load-bus solver.
 
-Active/reactive injections, analytic Jacobians of the normalized inverter
-injection vector, Kron elimination of zero-injection buses, the Newton
-solve of the load-bus KCL equations, the
-coupling-ratio bound between load-bus and inverter-bus state velocities,
-and the classical existence-condition checker.
+Active/reactive injections, the analytic power-flow Jacobian and the
+interleaved matrices built from it, Kron elimination of linear load buses,
+the damped Newton solver shared by every algebraic solve, the Newton solve
+of the load-bus KCL equations, the coupling-ratio bound between load-bus
+and inverter-bus state velocities, and the classical existence-condition
+checker.
 
 Sign conventions: injections are generation-positive, load demand is
 consumption-positive, so the KCL residual at a load bus reads
@@ -20,10 +21,10 @@ import numpy as np
 
 from .netmodel import (
     AdmittanceMatrix,
-    Load,
+    LoadArrays,
     NetworkCase,
     ValidationError,
-    _connected,
+    connected,
 )
 
 
@@ -80,42 +81,6 @@ class VoltageProfile:
         out[1::2] = self.E[ids]
         return out
 
-    def x_inverters(self, case: NetworkCase) -> np.ndarray:
-        return self.x_of(case.inverter_ids)
-
-    def x_loads(self, case: NetworkCase) -> np.ndarray:
-        return self.x_of(case.load_ids)
-
-    def replace(self, ids, x_part: np.ndarray) -> "VoltageProfile":
-        """New profile with the interleaved sub-vector over ids substituted."""
-        ids = np.asarray(ids, dtype=int)
-        theta = self.theta.copy()
-        E = self.E.copy()
-        theta[ids] = x_part[0::2]
-        E[ids] = x_part[1::2]
-        return VoltageProfile(theta=theta, E=E)
-
-    # -- security-set membership --------------------------------------------
-
-    def in_voltage_box(self, case: NetworkCase, tol: float = 0.0) -> bool:
-        return bool(
-            np.all(self.E >= case.e_min() - tol) and np.all(self.E <= case.e_max() + tol)
-        )
-
-    def branch_angles(self, case: NetworkCase) -> np.ndarray:
-        """theta_from - theta_to per line, in line-list order."""
-        f = np.array([ln.from_bus for ln in case.lines], dtype=int)
-        t = np.array([ln.to_bus for ln in case.lines], dtype=int)
-        return self.theta[f] - self.theta[t]
-
-    def in_angle_box(self, case: NetworkCase, tol: float = 0.0) -> bool:
-        if not case.lines:
-            return True
-        return bool(np.abs(self.branch_angles(case)).max() <= case.gamma + tol)
-
-    def in_security_set(self, case: NetworkCase, tol: float = 0.0) -> bool:
-        return self.in_voltage_box(case, tol) and self.in_angle_box(case, tol)
-
 
 @dataclass(frozen=True)
 class InjectionVector:
@@ -130,25 +95,16 @@ class InjectionVector:
 class JacobianPair:
     """Jacobians of the normalized inverter injections S_I.
 
-    J_I is d S_I / d x_I (2n_I x 2n_I), J_L is d S_I / d x_L
-    (2n_I x 2n_L), both at the stored evaluation point.
+    J_I is d S_I / d x_I (2n_I x 2n_I), J_L is d S_I / d x_L (2n_I x 2n_L).
     """
 
     J_I: np.ndarray
     J_L: np.ndarray
-    x: VoltageProfile
 
 
 # ---------------------------------------------------------------------------
 # injections and Jacobians
 # ---------------------------------------------------------------------------
-
-
-def _summand_matrices(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray):
-    """HP[k,m] = E_k E_m Y_km cos(theta_k - theta_m - phi_km), HQ the sin analogue."""
-    A = theta[:, None] - theta[None, :] - Y.angle
-    W = (E[:, None] * E[None, :]) * Y.magnitude
-    return W * np.cos(A), W * np.sin(A)
 
 
 def injections_raw(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray):
@@ -168,73 +124,127 @@ def injections(case: NetworkCase, Y: AdmittanceMatrix, x: VoltageProfile) -> Inj
     return InjectionVector(P=P, Q=Q, S_I=S_I)
 
 
-def full_jacobian(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray):
-    """All four n x n blocks dP/dtheta, dP/dE, dQ/dtheta, dQ/dE."""
-    HP, HQ = _summand_matrices(Y, theta, E)
-    rsP = HP.sum(axis=1)
-    rsQ = HQ.sum(axis=1)
-    dP_dth = HQ - np.diag(rsQ)
-    dQ_dth = -HP + np.diag(rsP)
-    dP_dE = (HP + np.diag(rsP)) / E[None, :]
-    dQ_dE = (HQ + np.diag(rsQ)) / E[None, :]
-    return dP_dth, dP_dE, dQ_dth, dQ_dE
+def full_jacobian(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray, rows=None):
+    """dP/dtheta, dP/dE, dQ/dtheta, dQ/dE over the given rows and every column.
+
+    ``rows`` lists bus ids (all buses when omitted); each block has one row
+    per listed bus and one column per bus.  With the summands
+    HP[k,m] = E_k E_m |Y_km| cos(theta_k - theta_m - phi_km) and HQ the sin
+    analogue, the entries at each row's own bus also carry the row sums.
+    """
+    r = np.arange(len(E)) if rows is None else np.asarray(rows, dtype=int)
+    A = theta[r][:, None] - theta - Y.angle[r]
+    W = (E[r][:, None] * E) * Y.magnitude[r]
+    HP, HQ = W * np.cos(A), W * np.sin(A)
+    own = r[:, None] == np.arange(len(E))  # each row's own-bus entry
+    sum_P = own * HP.sum(axis=1)[:, None]
+    sum_Q = own * HQ.sum(axis=1)[:, None]
+    return HQ - sum_Q, (HP + sum_P) / E, sum_P - HP, (HQ + sum_Q) / E
 
 
-def _interleave_blocks(dP_dth, dP_dE, dQ_dth, dQ_dE, rows, cols, p_star, q_star):
-    """Assemble the interleaved [P_i/P*; Q_i/Q*] x [theta_j; E_j] Jacobian."""
-    J = np.empty((2 * len(rows), 2 * len(cols)))
-    rr = np.ix_(rows, cols)
-    J[0::2, 0::2] = dP_dth[rr] / p_star[:, None]
-    J[0::2, 1::2] = dP_dE[rr] / p_star[:, None]
-    J[1::2, 0::2] = dQ_dth[rr] / q_star[:, None]
-    J[1::2, 1::2] = dQ_dE[rr] / q_star[:, None]
+def interleave(blocks, cols):
+    """Interleaved [P_i; Q_i] x [theta_j; E_j] matrix from full_jacobian blocks.
+
+    Rows are those of the blocks, columns the given bus ids.
+    """
+    dP_dth, dP_dE, dQ_dth, dQ_dE = (b[:, cols] for b in blocks)
+    J = np.empty((2 * dP_dth.shape[0], 2 * dP_dth.shape[1]))
+    J[0::2, 0::2] = dP_dth
+    J[0::2, 1::2] = dP_dE
+    J[1::2, 0::2] = dQ_dth
+    J[1::2, 1::2] = dQ_dE
     return J
 
 
 def jacobians(case: NetworkCase, Y: AdmittanceMatrix, x: VoltageProfile) -> JacobianPair:
     """Analytic Jacobians of S_I with respect to inverter and load states."""
-    dP_dth, dP_dE, dQ_dth, dQ_dE = full_jacobian(Y, x.theta, x.E)
-    inv = list(case.inverter_ids)
-    load = list(case.load_ids)
-    p_star, q_star = case.p_star(), case.q_star()
-    J_I = _interleave_blocks(dP_dth, dP_dE, dQ_dth, dQ_dE, inv, inv, p_star, q_star)
-    if load:
-        J_L = _interleave_blocks(dP_dth, dP_dE, dQ_dth, dQ_dE, inv, load, p_star, q_star)
-    else:
-        J_L = np.zeros((2 * len(inv), 0))
-    return JacobianPair(J_I=J_I, J_L=J_L, x=x)
+    blocks = full_jacobian(Y, x.theta, x.E, rows=case.inverter_ids)
+    scale = np.stack((case.p_star(), case.q_star()), axis=1).reshape(-1, 1)  # P*, Q* per row
+    return JacobianPair(
+        J_I=interleave(blocks, list(case.inverter_ids)) / scale,
+        J_L=interleave(blocks, list(case.load_ids)) / scale,
+    )
 
 
 # ---------------------------------------------------------------------------
-# algebraic (load-bus) solve
+# damped Newton and the algebraic (load-bus) solve
 # ---------------------------------------------------------------------------
 
 
-def kcl_residual(Y: AdmittanceMatrix, theta, E, alg_ids, loads):
+def damped_newton(residual, jacobian, get, put, tol: float, max_iter: int, what: str) -> int:
+    """Newton on residual() = 0 with a halving line search.
+
+    The caller holds the iterate: ``residual()`` and ``jacobian()``
+    evaluate at it, ``get()`` returns it as a vector and ``put(v)``
+    replaces it, clamping entries where the problem needs it.  Each
+    iteration tries the full step first and halves it while the max-norm
+    residual does not decrease, at most 30 times.  Returns the iteration
+    count.  Raises NewtonError on a singular Newton matrix, on a line
+    search that finds no decrease in 30 halvings, or on non-convergence in
+    ``max_iter`` iterations; the iterate is then the last accepted one.
+    """
+    g = residual()
+    norm = np.abs(g).max()
+    for it in range(1, max_iter + 1):
+        if norm <= tol:
+            return it - 1
+        J = jacobian()
+        try:
+            step = np.linalg.solve(J, g)
+        except np.linalg.LinAlgError:
+            raise NewtonError(
+                f"singular Newton matrix in {what}",
+                residual=norm,
+                iterations=it - 1,
+                cond=float(np.linalg.cond(J)),
+            ) from None
+        u = get()
+        lam = 1.0
+        for _ in range(30):
+            put(u - lam * step)
+            g_new = residual()
+            norm_new = np.abs(g_new).max()
+            if norm_new < norm or norm_new <= tol:
+                break
+            lam *= 0.5
+        else:
+            put(u)
+            raise NewtonError(
+                f"{what} line search found no decrease after 30 halvings (residual {norm:.3e})",
+                residual=norm,
+                iterations=it,
+            )
+        g, norm = g_new, norm_new
+    if norm <= tol:
+        return max_iter
+    raise NewtonError(
+        f"{what} did not converge in {max_iter} iterations (residual {norm:.3e})",
+        residual=norm,
+        iterations=max_iter,
+    )
+
+
+def kcl_residual(Y: AdmittanceMatrix, theta, E, alg_ids, loads: LoadArrays):
     """Stacked KCL residual [P_i + Pd_i(E_i), Q_i + Qd_i(E_i)] over alg_ids."""
     P, Q = injections_raw(Y, theta, E)
+    pd, qd = loads.demand(E[alg_ids])
     g = np.empty(2 * len(alg_ids))
-    for k, i in enumerate(alg_ids):
-        pd, qd = loads[i].demand(E[i])
-        g[2 * k] = P[i] + pd
-        g[2 * k + 1] = Q[i] + qd
+    g[0::2] = P[alg_ids] + pd
+    g[1::2] = Q[alg_ids] + qd
     return g
 
 
-def _kcl_jacobian(Y: AdmittanceMatrix, theta, E, alg_ids, loads):
-    dP_dth, dP_dE, dQ_dth, dQ_dE = full_jacobian(Y, theta, E)
-    ids = list(alg_ids)
-    m = len(ids)
-    G = np.empty((2 * m, 2 * m))
-    rr = np.ix_(ids, ids)
-    G[0::2, 0::2] = dP_dth[rr]
-    G[0::2, 1::2] = dP_dE[rr]
-    G[1::2, 0::2] = dQ_dth[rr]
-    G[1::2, 1::2] = dQ_dE[rr]
-    for k, i in enumerate(ids):
-        dpd, dqd = loads[i].demand_derivative(E[i])
-        G[2 * k, 2 * k + 1] += dpd
-        G[2 * k + 1, 2 * k + 1] += dqd
+def kcl_matrix(blocks, alg_ids, E, loads: LoadArrays, lead=()):
+    """Jacobian of the KCL residual over alg_ids w.r.t. x over lead + alg_ids.
+
+    ``blocks`` are the full_jacobian blocks over the rows alg_ids; the
+    loads' dDemand/dE lands on each algebraic bus's own E column.
+    """
+    G = interleave(blocks, list(lead) + list(alg_ids) if len(lead) else alg_ids)
+    own_E = G[:, 2 * len(lead) + 1 :: 2]  # the E columns of alg_ids
+    for rows, d_demand in zip((own_E[0::2], own_E[1::2]), loads.demand_derivative(E[alg_ids])):
+        diag = np.einsum("ii->i", rows)  # a writable view of each bus's own entry
+        diag += d_demand
     return G
 
 
@@ -243,63 +253,30 @@ def solve_algebraic(
     theta: np.ndarray,
     E: np.ndarray,
     alg_ids,
-    loads: dict[int, Load],
+    loads: LoadArrays,
     tol: float = 1e-10,
     max_iter: int = 50,
 ):
     """Newton solve of the KCL equations at the algebraic buses, in place.
 
-    theta/E are full-length work arrays; only the alg_ids entries move.
-    Full Newton step with halving line search on residual-norm increase.
-    Returns the iteration count.  Raises NewtonError on non-convergence, a
-    singular iteration matrix, or a line search that finds no decrease in
-    30 halvings (the work arrays then hold the last accepted iterate).
+    theta/E are full-length work arrays; only the alg_ids entries move, and
+    ``loads`` lists their loads in the same order.  Returns the iteration
+    count.  Raises NewtonError as ``damped_newton`` does; the work arrays
+    then hold the last accepted iterate.  Magnitudes stay at or above 1e-6.
     """
-    alg_ids = list(alg_ids)
-    if not alg_ids:
+    if not len(alg_ids):
         return 0
-    g = kcl_residual(Y, theta, E, alg_ids, loads)
-    norm = np.abs(g).max()
-    for it in range(1, max_iter + 1):
-        if norm <= tol:
-            return it - 1
-        G = _kcl_jacobian(Y, theta, E, alg_ids, loads)
-        try:
-            step = np.linalg.solve(G, g)
-        except np.linalg.LinAlgError:
-            raise NewtonError(
-                "singular Newton matrix in load solve",
-                residual=norm,
-                iterations=it - 1,
-                cond=float(np.linalg.cond(G)),
-            ) from None
-        lam = 1.0
-        th0 = theta[alg_ids].copy()
-        E0 = E[alg_ids].copy()
-        for _ in range(30):
-            theta[alg_ids] = th0 - lam * step[0::2]
-            E[alg_ids] = np.maximum(E0 - lam * step[1::2], 1e-6)
-            g_new = kcl_residual(Y, theta, E, alg_ids, loads)
-            norm_new = np.abs(g_new).max()
-            if norm_new < norm or norm_new <= tol:
-                break
-            lam *= 0.5
-        else:
-            theta[alg_ids] = th0
-            E[alg_ids] = E0
-            raise NewtonError(
-                f"load solve line search found no decrease after 30 halvings "
-                f"(residual {norm:.3e})",
-                residual=norm,
-                iterations=it,
-            )
-        g, norm = g_new, norm_new
-    if norm <= tol:
-        return max_iter
-    raise NewtonError(
-        f"load solve did not converge in {max_iter} iterations (residual {norm:.3e})",
-        residual=norm,
-        iterations=max_iter,
+    alg = np.asarray(alg_ids, dtype=int)
+
+    def put(v):
+        theta[alg] = v[0::2]
+        E[alg] = np.maximum(v[1::2], 1e-6)
+
+    return damped_newton(
+        lambda: kcl_residual(Y, theta, E, alg, loads),
+        lambda: kcl_matrix(full_jacobian(Y, theta, E, alg), alg, E, loads),
+        lambda: np.stack((theta[alg], E[alg]), axis=1).ravel(),
+        put, tol, max_iter, "load solve",
     )
 
 
@@ -371,11 +348,12 @@ def solve_loads(
             raise ValidationError("x_L_guess must be finite")
         theta[load] = x_L_guess[0::2]
         E[load] = x_L_guess[1::2]
-    its = solve_algebraic(Y, theta, E, list(case.load_ids), case.loads(), tol, max_iter)
-    res = kcl_residual(Y, theta, E, list(case.load_ids), case.loads()) if len(load) else np.zeros(0)
+    loads = LoadArrays.of(case.loads(), case.load_ids)
+    its = solve_algebraic(Y, theta, E, case.load_ids, loads, tol, max_iter)
+    res = kcl_residual(Y, theta, E, list(case.load_ids), loads)
     prof = VoltageProfile(theta=theta, E=E)
     return LoadSolve(
-        x_L=prof.x_of(load) if len(load) else np.zeros(0),
+        x_L=prof.x_of(load),
         profile=prof,
         iterations=its,
         residual=float(np.abs(res).max()) if res.size else 0.0,
@@ -387,24 +365,12 @@ def solve_loads(
 # ---------------------------------------------------------------------------
 
 
-def kcl_jacobian_parts(case: NetworkCase, Y: AdmittanceMatrix, x: VoltageProfile,
-                       alg_ids=None, loads=None):
+def kcl_jacobian_parts(case: NetworkCase, Y: AdmittanceMatrix, x: VoltageProfile):
     """Jacobians (f_I, f_L) of the load-bus KCL residual w.r.t. x_I and x_L."""
-    if alg_ids is None:
-        alg_ids = list(case.load_ids)
-    if loads is None:
-        loads = case.loads()
-    diff_ids = [i for i in case.inverter_ids if i not in alg_ids]
-    dP_dth, dP_dE, dQ_dth, dQ_dE = full_jacobian(Y, x.theta, x.E)
-    m = len(alg_ids)
-    ones = np.ones(m)
-    f_I = _interleave_blocks(dP_dth, dP_dE, dQ_dth, dQ_dE, alg_ids, diff_ids, ones, ones)
-    f_L = _interleave_blocks(dP_dth, dP_dE, dQ_dth, dQ_dE, alg_ids, alg_ids, ones, ones)
-    for k, i in enumerate(alg_ids):
-        dpd, dqd = loads[i].demand_derivative(x.E[i])
-        f_L[2 * k, 2 * k + 1] += dpd
-        f_L[2 * k + 1, 2 * k + 1] += dqd
-    return f_I, f_L
+    load = list(case.load_ids)
+    blocks = full_jacobian(Y, x.theta, x.E, rows=load)
+    f = kcl_matrix(blocks, load, x.E, LoadArrays.of(case.loads(), load), lead=case.inverter_ids)
+    return f[:, : 2 * case.n_inverters], f[:, 2 * case.n_inverters :]
 
 
 @dataclass(frozen=True)
@@ -461,9 +427,6 @@ class ConditionResult:
 class ExistenceReport:
     conditions: tuple[ConditionResult, ...]
 
-    def all_checked_pass(self) -> bool:
-        return all(c.passed for c in self.conditions if c.passed is not None)
-
     def format(self) -> str:
         lines = []
         for c in self.conditions:
@@ -490,7 +453,7 @@ def check_existence(
     B = Y.Y.imag
     conds = []
 
-    ok = _connected(range(case.n), set(ln.key for ln in case.lines))
+    ok = connected(range(case.n), [ln.key for ln in case.lines])
     conds.append(ConditionResult("a", ok, "electrical graph connected"))
 
     asym = float(np.abs(Y.Y - Y.Y.T).max())
@@ -540,22 +503,17 @@ def check_existence(
     if user_ranges is None:
         conds.append(ConditionResult("f", None, "injection ranges not supplied"))
     else:
-        p_ranges = user_ranges.get("P", {})
-        q_ranges = user_ranges.get("Q", {})
+        load = list(case.load_ids)
+        pd, qd = LoadArrays.of(case.loads(), load).demand(np.ones(len(load)))
+        p_nom, q_nom = np.zeros(case.n), np.zeros(case.n)  # injections at nominal voltage
+        p_nom[list(case.inverter_ids)] = case.p_star()
+        p_nom[load] = -pd
+        q_nom[load] = -qd
         bad = []
-        for i in range(case.n):
-            b = case.buses[i]
-            p_i = b.P_star if b.kind == "inverter" else -b.load.demand(1.0)[0]
-            if i in p_ranges:
-                lo_i, hi_i = p_ranges[i]
-                if not (lo_i <= p_i <= hi_i):
-                    bad.append(("P", i))
-        for i in case.load_ids:
-            q_i = -case.buses[i].load.demand(1.0)[1]
-            if i in q_ranges:
-                lo_i, hi_i = q_ranges[i]
-                if not (lo_i <= q_i <= hi_i):
-                    bad.append(("Q", i))
+        for kind, nominal, ids in (("P", p_nom, range(case.n)), ("Q", q_nom, load)):
+            ranges = user_ranges.get(kind, {})
+            bad += [(kind, i) for i in ids
+                    if i in ranges and not ranges[i][0] <= nominal[i] <= ranges[i][1]]
         conds.append(
             ConditionResult("f", not bad, "injections inside supplied ranges", tuple(bad))
         )

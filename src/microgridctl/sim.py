@@ -24,6 +24,7 @@ import numpy as np
 from .netmodel import (
     CaseError,
     Load,
+    LoadArrays,
     NetworkCase,
     ParseError,
     ValidationError,
@@ -32,12 +33,15 @@ from .netmodel import (
 from .powerflow import (
     NewtonError,
     VoltageProfile,
+    damped_newton,
     full_jacobian,
     injections_raw,
+    interleave,
+    kcl_matrix,
     kron_reduce,
     solve_algebraic,
 )
-from .controller import GainSet, frequency_of
+from .controller import ControlState, GainSet, control_derivative, frequency_of
 from .contingency import (
     COMM_LOSS,
     DER_LOSS,
@@ -265,92 +269,51 @@ def solve_equilibrium(
         return solve_equilibrium(case, Y, condition, pin_E=pin, tol=tol, max_iter=max_iter)
     active = list(condition.active_inverters)
     alg = list(condition.algebraic_ids(case))
-    loads = condition.effective_loads(case)
-    ref = active[0]
-    free_inv = active[1:]
-    n = case.n
+    loads = LoadArrays.of(condition.effective_loads(case), alg)
+    free_inv = active[1:]  # the reference inverter active[0] is pinned
+    var_ids = free_inv + alg  # theta/E pairs, after (alpha, beta)
+    n_act = len(active)
 
-    theta = np.zeros(n)
-    E = np.ones(n)
-    E[ref] = pin_E
+    theta = np.zeros(case.n)
+    E = np.ones(case.n)
+    E[active[0]] = pin_E
     p_star = np.array([case.buses[i].P_star for i in active])
     q_star = np.array([case.buses[i].Q_star for i in active])
-    total_p = sum(loads[j].demand(1.0)[0] for j in alg)
-    total_q = sum(loads[j].demand(1.0)[1] for j in alg)
-    alpha = total_p / p_star.sum() if p_star.sum() != 0 else 0.0
-    beta = total_q / q_star.sum() if q_star.sum() != 0 else 0.0
+    nominal_p, nominal_q = loads.demand(np.ones(len(alg)))
+    level = np.array([  # the common sharing levels (alpha, beta)
+        sum(nominal_p) / p_star.sum() if p_star.sum() != 0 else 0.0,
+        sum(nominal_q) / q_star.sum() if q_star.sum() != 0 else 0.0,
+    ])
 
-    n_free = len(free_inv)
-    n_alg = len(alg)
-
-    def residual(th, e, a, b):
-        P, Q = injections_raw(Y, th, e)
-        g = np.empty(2 * len(active) + 2 * n_alg)
-        for k, i in enumerate(active):
-            g[2 * k] = P[i] - a * p_star[k]
-            g[2 * k + 1] = Q[i] - b * q_star[k]
-        for k, j in enumerate(alg):
-            pd, qd = loads[j].demand(e[j])
-            g[2 * len(active) + 2 * k] = P[j] + pd
-            g[2 * len(active) + 2 * k + 1] = Q[j] + qd
+    def residual():
+        P, Q = injections_raw(Y, theta, E)
+        pd, qd = loads.demand(E[alg])
+        g = np.empty(2 * (n_act + len(alg)))
+        g[0 : 2 * n_act : 2] = P[active] - level[0] * p_star
+        g[1 : 2 * n_act : 2] = Q[active] - level[1] * q_star
+        g[2 * n_act :: 2] = P[alg] + pd
+        g[2 * n_act + 1 :: 2] = Q[alg] + qd
         return g
 
-    def jac(th, e):
-        dP_dth, dP_dE, dQ_dth, dQ_dE = full_jacobian(Y, th, e)
-        rows = 2 * len(active) + 2 * n_alg
-        cols = 2 + 2 * n_free + 2 * n_alg
-        J = np.zeros((rows, cols))
-        var_ids = free_inv + alg  # theta/E pairs, after (alpha, beta)
-        for r, i in enumerate(active):
-            J[2 * r, 0] = -p_star[r]
-            J[2 * r + 1, 1] = -q_star[r]
-        row_buses = active + alg
-        for r, i in enumerate(row_buses):
-            for c, j in enumerate(var_ids):
-                J[2 * r, 2 + 2 * c] = dP_dth[i, j]
-                J[2 * r, 2 + 2 * c + 1] = dP_dE[i, j]
-                J[2 * r + 1, 2 + 2 * c] = dQ_dth[i, j]
-                J[2 * r + 1, 2 + 2 * c + 1] = dQ_dE[i, j]
-        for k, j in enumerate(alg):
-            dpd, dqd = loads[j].demand_derivative(e[j])
-            r = len(active) + k
-            c = n_free + k
-            J[2 * r, 2 + 2 * c + 1] += dpd
-            J[2 * r + 1, 2 + 2 * c + 1] += dqd
+    def jacobian():
+        blocks = full_jacobian(Y, theta, E, active + alg)
+        J = np.zeros((2 * (n_act + len(alg)), 2 + 2 * len(var_ids)))
+        J[0 : 2 * n_act : 2, 0] = -p_star
+        J[1 : 2 * n_act : 2, 1] = -q_star
+        J[: 2 * n_act, 2:] = interleave([b[:n_act] for b in blocks], var_ids)
+        J[2 * n_act :, 2:] = kcl_matrix([b[n_act:] for b in blocks], alg, E, loads, lead=free_inv)
         return J
 
-    g = residual(theta, E, alpha, beta)
-    norm = np.abs(g).max()
-    var_ids = free_inv + alg
-    for it in range(max_iter):
-        if norm <= tol:
-            return VoltageProfile(theta=theta, E=E)
-        J = jac(theta, E)
-        try:
-            step = np.linalg.solve(J, g)
-        except np.linalg.LinAlgError:
-            raise NewtonError("singular Jacobian in equilibrium solve", residual=norm) from None
-        lam = 1.0
-        th0, E0, a0, b0 = theta.copy(), E.copy(), alpha, beta
-        for _ in range(30):
-            alpha = a0 - lam * step[0]
-            beta = b0 - lam * step[1]
-            theta = th0.copy()
-            E = E0.copy()
-            for c, j in enumerate(var_ids):
-                theta[j] = th0[j] - lam * step[2 + 2 * c]
-                E[j] = max(E0[j] - lam * step[2 + 2 * c + 1], 1e-6)
-            g_new = residual(theta, E, alpha, beta)
-            norm_new = np.abs(g_new).max()
-            if norm_new < norm or norm_new <= tol:
-                break
-            lam *= 0.5
-        g, norm = g_new, norm_new
-    if norm <= tol:
-        return VoltageProfile(theta=theta, E=E)
-    raise NewtonError(
-        f"equilibrium solve did not converge (residual {norm:.3e})", residual=norm
-    )
+    def get():
+        return np.concatenate((level, np.stack((theta[var_ids], E[var_ids]), axis=1).ravel()))
+
+    def put(v):
+        level[:] = v[:2]
+        theta[var_ids] = v[2::2]
+        E[var_ids] = np.maximum(v[3::2], 1e-6)
+
+    damped_newton(residual, jacobian, get, put, tol, max_iter, "equilibrium solve")
+    return VoltageProfile(theta=theta, E=E)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +348,7 @@ class _Engine:
         case = self.case
         self.active = list(cond.active_inverters)
         self.n_act = len(self.active)
-        self.L = cond.lap().L
-        self.K_stack = np.array([self.gains.blocks[i] for i in self.active])
+        self.control = ControlState.of(case, self.gains, cond.lap())
         loads = cond.effective_loads(case)
         alg = cond.algebraic_ids(case)
         nonlinear = [i for i in alg if not loads[i].linear]
@@ -395,12 +357,8 @@ class _Engine:
         self.act = self.kept[: self.n_act]
         self.elim = np.asarray(sorted(shunts), dtype=int)
         self.Y_red, self.X = kron_reduce(self.Y, self.kept, shunts)
-        self.alg_pos = list(range(self.n_act, len(self.kept)))
-        self.loads = {self.n_act + k: loads[i] for k, i in enumerate(nonlinear)}
-        self.p_star = np.array([case.buses[i].P_star for i in self.active])
-        self.q_star = np.array([case.buses[i].Q_star for i in self.active])
-        self.e_lo = np.array([case.buses[i].E_min for i in self.active])
-        self.e_hi = np.array([case.buses[i].E_max for i in self.active])
+        self.alg_pos = np.arange(self.n_act, len(self.kept))
+        self.loads = LoadArrays.of(loads, nonlinear)
         self.theta = np.asarray(theta, dtype=float)[self.kept]
         self.E = np.asarray(E, dtype=float)[self.kept]
         self.stats["eliminated_buses"].append(len(self.elim))
@@ -435,20 +393,9 @@ class _Engine:
         return its
 
     def control_law(self, P_act, Q_act, E_act):
-        """Rate-saturated, voltage-clamped (theta_dot, E_dot) per active inverter."""
+        """``control_derivative`` at the current condition, counted in the stats."""
         self.stats["derivative_evals"] += 1
-        S = np.empty((self.n_act, 2))
-        S[:, 0] = P_act / self.p_star
-        S[:, 1] = Q_act / self.q_star
-        mix = self.L @ S
-        xdot = np.einsum("kij,kj->ki", self.K_stack, mix)
-        np.clip(xdot[:, 0], -self.gains.theta_dot_max, self.gains.theta_dot_max, out=xdot[:, 0])
-        np.clip(xdot[:, 1], -self.gains.E_dot_max, self.gains.E_dot_max, out=xdot[:, 1])
-        clamp = ((E_act >= self.e_hi) & (xdot[:, 1] > 0.0)) | (
-            (E_act <= self.e_lo) & (xdot[:, 1] < 0.0)
-        )
-        xdot[clamp, 1] = 0.0
-        return xdot, int(clamp.sum())
+        return control_derivative(self.control, P_act, Q_act, E_act)
 
     def derivative(self):
         """Control law on the reduced network's injections at the kept state."""
@@ -533,7 +480,8 @@ def run_scenario(
     frequency columns come from the full network at the recorded state.
     ``meta["stats"]`` holds the run's counters: eliminated buses per
     operating condition, Newton iterations, dt halvings and control-law
-    evaluations.
+    evaluations, plus the start used (``"initial"``, ``"equilibrium"`` or
+    ``"flat"``) and, for the flat fallback, why the equilibrium solve failed.
     """
     cfg = config or scenario.config
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -542,13 +490,14 @@ def run_scenario(
     if Y is None:
         Y = build_admittance(case)
     cond = OperatingCondition.initial(case)
-    x0 = initial
-    if x0 is None:
+    start, fallback = "initial", None
+    if initial is None:
         try:
-            x0 = solve_equilibrium(case, Y, cond)
-        except NewtonError:
-            x0 = VoltageProfile.flat(case.n)
-    eng = _Engine(case, gains, cfg, Y, cond, x0.theta, x0.E)
+            initial, start = solve_equilibrium(case, Y, cond), "equilibrium"
+        except NewtonError as exc:
+            initial, start, fallback = VoltageProfile.flat(case.n), "flat", str(exc)
+    eng = _Engine(case, gains, cfg, Y, cond, initial.theta, initial.E)
+    eng.stats.update(start=start, start_fallback=fallback)
     eng.resolve_algebraic()
     events = list(scenario.events)
     ev_idx = 0
@@ -595,8 +544,8 @@ def run_scenario(
             max_ang = np.abs(theta[lines_f] - theta[lines_t]).max()
             rec["angle"][row] = 1 if max_ang > case.gamma + 1e-12 else 0
         rec["its"][row] = its_accum
-        ratios_p = P[eng.act] / eng.p_star
-        ratios_q = Q[eng.act] / eng.q_star
+        ratios_p = P[eng.act] / eng.control.p_star
+        ratios_q = Q[eng.act] / eng.control.q_star
         rec["shP"][row] = ratios_p.max() - ratios_p.min()
         rec["shQ"][row] = ratios_q.max() - ratios_q.min()
         its_accum = 0

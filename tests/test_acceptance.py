@@ -112,20 +112,22 @@ def test_acceptance_01_jacobian_finite_differences(case14, Y14):
 def test_acceptance_02_equilibrium_equivalence(case14, gains14, loadstep_run, Y14):
     """Criterion 2: sharing inputs give zero derivative; steady states share."""
     lap = laplacian(case14.comm_edges, case14.inverter_ids)
-    state = ControlState(active=case14.inverter_ids, lap=lap)
+    state = ControlState.of(case14, gains14, lap)
+    inv = list(case14.inverter_ids)
     v_p, v_q = consensus_patterns(case14.n_inverters)
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(50):
         S = rng.uniform(-2, 2) * v_p + rng.uniform(-2, 2) * v_q
-        xdot = control_derivative(gains14, state, S)
+        xdot, _ = control_derivative(state, S[0::2] * state.p_star, S[1::2] * state.q_star,
+                                     np.ones(len(inv)))
         worst = max(worst, float(np.abs(xdot).max()))
     assert worst < 1e-12
 
     trace, _ = loadstep_run
     x_end = VoltageProfile(theta=trace.theta[-1], E=trace.E[-1])
     inj = mg.injections(case14, Y14, x_end)
-    xdot_end = control_derivative(gains14, state, inj.S_I)
+    xdot_end, _ = control_derivative(state, inj.P[inv], inj.Q[inv], x_end.E[inv])
     assert np.linalg.norm(xdot_end) < 1e-8  # it is a simulated steady state
     assert trace.sharing_P[-1] < 1e-6
     assert trace.sharing_Q[-1] < 1e-6

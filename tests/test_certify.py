@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from microgridctl.certify import (
     CapacityBox,
     CertificateError,
     IntervalHull,
+    MAX_CORNER_COMBOS,
     StabilityCertificate,
     SynthesisError,
-    ZETA_LITERAL,
     _margin_stack,
     block_feasibility,
     blocks_of,
@@ -29,7 +30,6 @@ from microgridctl.certify import (
     reduced_laplacian,
     sample_interior_profiles,
     stage1_gains,
-    vertex_samples,
     verify_certificate,
     zeta_estimate,
 )
@@ -98,46 +98,16 @@ def test_load_separated_inverters_are_singletons():
     assert blocks_of(case) == ((0,), (1,))
 
 
-# -- vertex samples ---------------------------------------------------------------
+# -- corner enumeration and the angle hypothesis -----------------------------------
 
 
-def test_two_bus_vertex_count(two_bus_inductive):
-    vs = vertex_samples(two_bus_inductive)
-    assert len(vs.samples) == (2 ** 2) * 3
-    assert not any(vs.cycle_flags)
-    for prof in vs.samples:
-        assert prof.in_security_set(two_bus_inductive, tol=1e-12)
-
-
-def test_triangle_mesh_vertex_count_and_flags():
-    case = make_case(
-        [inverter(0), inverter(1, P=0.5, Q=0.2), inverter(2, P=0.4, Q=0.2)],
-        [line(0, 1, R=0.05, X=0.1), line(1, 2, R=0.05, X=0.1), line(0, 2, R=0.05, X=0.1)],
-        [[0, 1], [1, 2]],
-        gamma_deg=15.0,
-    )
-    vs = vertex_samples(case)
-    assert len(vs.samples) == (2 ** 3) * (3 ** 3)
-    # the non-tree edge inherits sums of tree gaps: some combinations overshoot
-    assert any(vs.cycle_flags)
-    assert not all(vs.cycle_flags)
-
-
-def test_vertex_hypothesis_violation_raises():
-    # R/X = 1 folds to 45 deg; 45 + 60 > 90 violates the corner hypothesis
-    case = make_case(
-        [inverter(0), inverter(1)],
-        [line(0, 1, R=0.1, X=0.1)],
-        [[0, 1]],
-        gamma_deg=60.0,
-    )
-    with pytest.raises(ValidationError, match="hypothesis"):
-        vertex_samples(case)
-
-
-def test_vertex_budget_guard(case14, Y14):
-    with pytest.raises(ValidationError, match="per-block"):
-        vertex_samples(case14, Y14)
+def test_vertex_budget_guard():
+    """Corner enumeration refuses a block whose corner product is too large."""
+    hub = make_case([inverter(0)] + [pq_load(i) for i in range(1, 9)],
+                    [line(0, i, R=0.05, X=0.1) for i in range(1, 9)], [])
+    assert (2 ** 9) * (3 ** 8) > MAX_CORNER_COMBOS
+    with pytest.raises(ValidationError, match="combinations"):
+        entry_bounds(hub, mg.build_admittance(hub), (0,))
 
 
 def test_effective_angle_folding():
@@ -196,16 +166,6 @@ def test_containment_holds_on_hypothesis_violating_line():
         assert np.all(J <= bb.J_hi + 1e-9)
 
 
-def test_entry_bounds_from_samples_path(path3_inverters):
-    Y = mg.build_admittance(path3_inverters)
-    vs = vertex_samples(path3_inverters)
-    bb = entry_bounds(path3_inverters, Y, (0, 1, 2), samples=vs.samples)
-    bb_direct = entry_bounds(path3_inverters, Y, (0, 1, 2))
-    # direct corner evaluation also sweeps stationary angles, so it can only widen
-    assert np.all(bb_direct.J_hi >= bb.J_hi - 1e-12)
-    assert np.all(bb_direct.J_lo <= bb.J_lo + 1e-12)
-
-
 def test_hull_global_assembly(hull14, case14):
     n_i = case14.n_inverters
     assert hull14.J_lo.shape == (2 * n_i, 2 * n_i)
@@ -228,7 +188,6 @@ def _unit_hull(D_stacks, blocks):
         per_block.append(BlockBounds(
             block=tuple(blk),
             relevant_buses=tuple(blk),
-            relevant_edges=(),
             J_lo=D.min(axis=0),
             J_hi=D.max(axis=0),
             D_stack=D,
@@ -238,7 +197,6 @@ def _unit_hull(D_stacks, blocks):
     return IntervalHull(
         blocks=tuple(tuple(b) for b in blocks),
         per_block=tuple(per_block),
-        kind=certify.HULL_JBAR,
         J_lo=np.zeros((2 * n, 2 * n)),
         J_hi=np.zeros((2 * n, 2 * n)),
         inverter_order=order,
@@ -262,32 +220,19 @@ def test_block_feasibility_on_bundled_pair(hull14, gains14_synth, gains14):
     assert not table.passed
 
 
-def test_dbar_hull_enumerates_small_blocks():
-    lo = 0.5 * np.eye(2)
-    hi = 2.0 * np.eye(2)
-    bb = BlockBounds(block=(0,), relevant_buses=(0,), relevant_edges=(),
-                     J_lo=lo, J_hi=hi, D_stack=np.stack([lo, hi]))
-    hull = IntervalHull(blocks=((0,),), per_block=(bb,), kind=certify.HULL_DBAR,
-                        J_lo=lo, J_hi=hi, inverter_order=(0,))
-    verts = hull.block_vertices(0)
-    assert verts.shape == (16, 2, 2)
-    with pytest.raises(ValidationError, match="vertices"):
-        hull.block_vertices(0, budget=8)
-
-
 # -- quadratic-form margins -----------------------------------------------------------
 
 
 def test_scalar_schur_identity_case():
-    """U=I, A = -a I: the margin sign matches -2a + eps*zeta + xi + 1/eps."""
+    """U=I, A = -a I, zeta = 1: the margin sign matches -2a + eps*zeta^2 + xi + 1/eps."""
     a, eps, xi, zeta = 4.0, 0.5, 0.1, 1.0
     A = -a * np.eye(2)
-    margins = _margin_stack(A[None, :, :], np.eye(2), eps, xi, zeta, ZETA_LITERAL)
+    margins = _margin_stack(A[None, :, :], np.eye(2), eps, xi, zeta)
     schur = -2 * a + eps * zeta + xi + 1 / eps
     assert (margins.max() <= 0) == (schur <= 0)
     a_small = 0.5  # makes the Schur combination positive
     A2 = -a_small * np.eye(2)
-    margins2 = _margin_stack(A2[None, :, :], np.eye(2), eps, xi, zeta, ZETA_LITERAL)
+    margins2 = _margin_stack(A2[None, :, :], np.eye(2), eps, xi, zeta)
     schur2 = -2 * a_small + eps * zeta + xi + 1 / eps
     assert (margins2.max() <= 0) == (schur2 <= 0)
     assert margins2.max() > 0
@@ -297,8 +242,8 @@ def test_margin_monotone_in_xi():
     rng = np.random.default_rng(0)
     A = -np.eye(4) - 0.1 * rng.standard_normal((1, 4, 4))
     U = np.eye(4)
-    m_small = _margin_stack(A, U, 1.0, 0.01, 0.1, "squared").max()
-    m_large = _margin_stack(A, U, 1.0, 0.5, 0.1, "squared").max()
+    m_small = _margin_stack(A, U, 1.0, 0.01, 0.1).max()
+    m_large = _margin_stack(A, U, 1.0, 0.5, 0.1).max()
     assert m_small <= m_large
 
 
@@ -310,6 +255,28 @@ def test_certificate_field_validation():
     with pytest.raises(ValidationError, match="symmetric"):
         StabilityCertificate(U=np.array([[1.0, 0.5], [0.0, 1.0]]), eps=1.0, xi=0.1,
                              zeta=0.1, d=0.1)
+
+
+@pytest.mark.parametrize("field", ["eps", "xi", "zeta", "d"])
+def test_nan_certificate_field_is_certificate_error(cert14, field):
+    doc = json.loads(certificate_to_json(cert14))
+    doc[field] = math.nan
+    with pytest.raises(CertificateError, match=field):
+        parse_certificate(json.dumps(doc))
+
+
+def test_top_level_list_certificate_is_certificate_error():
+    with pytest.raises(CertificateError):
+        parse_certificate("[]")
+
+
+@pytest.mark.parametrize("field,value", [("hull_kind", "dbar"), ("zeta_mode", "literal")])
+def test_certificate_accepts_one_hull_kind_and_zeta_mode(cert14, field, value):
+    doc = json.loads(certificate_to_json(cert14))
+    assert doc[field] == {"hull_kind": "jbar", "zeta_mode": "squared"}[field]
+    doc[field] = value
+    with pytest.raises(CertificateError, match=value):
+        parse_certificate(json.dumps(doc))
 
 
 def test_certificate_json_roundtrip(cert14):
@@ -340,7 +307,7 @@ def test_certification_vertices_block_structure(hull14):
     idx1 = hull14.block_positions(1)
     assert np.all(vmats[:, idx0][:, :, idx1] == 0.0)
     # every block slice appears in that block's own vertex list
-    D0 = hull14.block_vertices(0)
+    D0 = hull14.per_block[0].D_stack
     sample = vmats[0][np.ix_(idx0, idx0)]
     assert any(np.array_equal(sample, D) for D in D0)
 

@@ -131,3 +131,14 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "(a) PASS" in proc.stdout
+
+
+def test_certify_with_nan_gain_exits_1_without_traceback(tmp_path):
+    gains = tmp_path / "gains.json"
+    gains.write_text('{"gains_mrad_mV": {"0": [[NaN, 0.0], [0.0, -10.0]]}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "microgridctl.cli", "certify", CASE, str(gains)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

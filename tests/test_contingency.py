@@ -123,7 +123,7 @@ def test_single_survivor_reduces_to_own_block(hull14, gains14_synth, case14):
     rep = inherited_feasibility(gains14_synth, hull14, cond, d=0.1)
     assert rep.checked and rep.passed
     # equals the worst eigenvalue over inverter 7's own block vertices
-    D = hull14.block_vertices(2)
+    D = hull14.per_block[2].D_stack
     K = gains14_synth.stacked([7])
     H = np.einsum("kij,jl->kil", D, K)
     worst = float(np.linalg.eigvalsh(H + H.transpose(0, 2, 1))[:, -1].max())

@@ -13,53 +13,78 @@ from microgridctl.controller import (
     frequency_of,
     gains_to_json,
     parse_gains,
-    project_security,
-    saturate,
 )
-from microgridctl.netmodel import ValidationError, laplacian
+from microgridctl.netmodel import ParseError, ValidationError, laplacian
 from microgridctl.powerflow import VoltageProfile, injections
 
+from conftest import inverter, line, make_case
 
 
-def _state(edges, active):
-    return ControlState(active=tuple(sorted(active)), lap=laplacian(edges, active))
+def _state(edges, n_inv, gains, lo=0.9, hi=1.1):
+    """The law's state on a path of n_inv inverters with P* = Q* = 1."""
+    case = make_case([inverter(i, P=1.0, Q=1.0, lo=lo, hi=hi) for i in range(n_inv)],
+                     [line(i, i + 1) for i in range(n_inv - 1)], [list(e) for e in edges])
+    return ControlState.of(case, gains, laplacian(edges, range(n_inv)))
+
+
+def _law(state, S, E=None):
+    """The law on stacked normalized pairs S (P* = Q* = 1 makes them the injections)."""
+    m = len(S) // 2
+    return control_derivative(state, S[0::2], S[1::2], np.ones(m) if E is None else E)
 
 
 def test_consensus_input_gives_exact_zero():
     gains = GainSet(blocks={0: -0.01 * np.eye(2), 1: -0.02 * np.eye(2), 2: -0.01 * np.eye(2)})
-    state = _state([(0, 1), (1, 2)], [0, 1, 2])
+    state = _state([(0, 1), (1, 2)], 3, gains)
     S = np.tile([0.8, 0.4], 3)  # identical per-inverter pairs
-    xdot = control_derivative(gains, state, S)
-    assert np.all(xdot == 0.0)
+    xdot, n_clamped = _law(state, S)
+    assert np.all(xdot == 0.0) and n_clamped == 0
 
 
 def test_two_inverter_hand_arithmetic():
     gains = GainSet(blocks={0: -0.01 * np.eye(2), 1: -0.01 * np.eye(2)})
-    state = _state([(0, 1)], [0, 1])
+    state = _state([(0, 1)], 2, gains)
     S = np.array([1.0, 1.0, 0.5, 1.0])
-    xdot = control_derivative(gains, state, S)
+    xdot, _ = _law(state, S)
     # L row for inverter 0 mixes S_0 - S_1 = [0.5, 0]
-    assert np.allclose(xdot[:2], [-0.005, 0.0])
-    assert np.allclose(xdot[2:], [+0.005, 0.0])
+    assert np.allclose(xdot[0], [-0.005, 0.0])
+    assert np.allclose(xdot[1], [+0.005, 0.0])
+
+
+def test_control_state_follows_laplacian_order(case14, gains14):
+    lap = laplacian(case14.comm_edges, [7, 0, 5])
+    state = ControlState.of(case14, gains14, lap)
+    assert lap.order == (0, 5, 7)
+    assert np.array_equal(state.K, np.array([gains14.blocks[i] for i in (0, 5, 7)]))
+    assert np.array_equal(state.p_star, [case14.buses[i].P_star for i in (0, 5, 7)])
+    assert np.array_equal(state.e_hi, [case14.buses[i].E_max for i in (0, 5, 7)])
+    with pytest.raises(ValidationError, match="no gain block"):
+        ControlState.of(case14, GainSet(blocks={0: -np.eye(2)}), lap)
 
 
 def test_saturation_caps_both_components():
     gains = GainSet(blocks={0: np.diag([-50.0, -50.0]), 1: np.diag([-50.0, -50.0])})
-    state = _state([(0, 1)], [0, 1])
+    state = _state([(0, 1)], 2, gains)
     S = np.array([5.0, 5.0, -5.0, -5.0])
-    xdot = control_derivative(gains, state, S)
-    assert np.abs(xdot[0::2]).max() <= gains.theta_dot_max + 1e-15
-    assert np.abs(xdot[1::2]).max() <= gains.E_dot_max + 1e-15
-    assert abs(xdot[0]) == gains.theta_dot_max  # actually saturated
+    xdot, _ = _law(state, S)
+    assert np.abs(xdot[:, 0]).max() <= gains.theta_dot_max + 1e-15
+    assert np.abs(xdot[:, 1]).max() <= gains.E_dot_max + 1e-15
+    assert abs(xdot[0, 0]) == gains.theta_dot_max  # actually saturated
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=4, max_size=4))
 def test_saturation_idempotent(vals):
-    xdot = np.array(vals)
-    once = saturate(xdot, 0.5, 0.05)
-    twice = saturate(once, 0.5, 0.05)
-    assert np.array_equal(once, twice)
+    """The law's rates are the clipped linear rates, a fixed point of clipping."""
+    gains = GainSet(blocks={0: -50.0 * np.eye(2), 1: -50.0 * np.eye(2)},
+                    theta_dot_max=0.5, E_dot_max=0.05)
+    state = _state([(0, 1)], 2, gains, lo=0.5, hi=1.5)
+    S = np.array(vals)
+    xdot, _ = _law(state, S)
+    limits = np.array([0.5, 0.05])
+    assert np.array_equal(np.clip(xdot, -limits, limits), xdot)
+    linear = -50.0 * (state.lap.L @ S.reshape(2, 2))
+    assert np.array_equal(xdot, np.clip(linear, -limits, limits))
 
 
 def test_translation_invariance_of_injections(triangle_case):
@@ -72,25 +97,31 @@ def test_translation_invariance_of_injections(triangle_case):
     assert np.abs(s1 - s2).max() < 1e-12
 
 
-def test_project_security_clamps_outward_only(triangle_case):
-    x = VoltageProfile(theta=np.zeros(3), E=np.array([1.1, 0.9, 1.0]))  # at both bounds
-    xdot = np.array([0.1, +0.02, 0.1, -0.02])
-    out, clamped = project_security(triangle_case, x, xdot, active_ids=[0, 1])
-    assert out[1] == 0.0 and out[3] == 0.0
-    assert clamped == (0, 1)
+def test_project_security_clamps_outward_only():
+    """The law's last step zeroes E_dot only where it points out of the voltage box."""
+    gains = GainSet(blocks={0: -0.01 * np.eye(2), 1: -0.01 * np.eye(2)})
+    state = _state([(0, 1)], 2, gains)
+    at_bounds = np.array([1.1, 0.9])
+    # Q_0 < Q_1 drives E_0 up (out past 1.1) and E_1 down (out past 0.9)
+    xdot, n_clamped = _law(state, np.array([1.0, 0.0, 0.0, 1.0]), at_bounds)
+    assert xdot[0, 1] == 0.0 and xdot[1, 1] == 0.0
+    assert n_clamped == 2
+    assert np.allclose(xdot[:, 0], [-0.01, 0.01])  # angle rates are not projected
     # inward-pointing derivatives survive
-    xdot_in = np.array([0.1, -0.02, 0.1, +0.02])
-    out2, clamped2 = project_security(triangle_case, x, xdot_in, active_ids=[0, 1])
-    assert np.array_equal(out2, xdot_in)
-    assert clamped2 == ()
+    inward, n_clamped = _law(state, np.array([1.0, 1.0, 0.0, 0.0]), at_bounds)
+    interior, _ = _law(state, np.array([1.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(inward, interior)
+    assert np.allclose(inward[:, 1], [-0.01, 0.01])
+    assert n_clamped == 0
 
 
-def test_project_security_identity_in_interior(triangle_case):
-    x = VoltageProfile(theta=np.zeros(3), E=np.array([1.0, 1.0, 1.0]))
-    xdot = np.array([0.1, 0.02, -0.1, -0.02])
-    out, clamped = project_security(triangle_case, x, xdot, active_ids=[0, 1])
-    assert np.array_equal(out, xdot)
-    assert clamped == ()
+def test_project_security_identity_in_interior():
+    gains = GainSet(blocks={0: -0.01 * np.eye(2), 1: -0.01 * np.eye(2)})
+    state = _state([(0, 1)], 2, gains)
+    S = np.array([1.0, 0.0, 0.0, 1.0])
+    xdot, n_clamped = _law(state, S, np.array([1.0, 1.0]))
+    assert np.array_equal(xdot, -0.01 * (state.lap.L @ S.reshape(2, 2)))
+    assert n_clamped == 0
 
 
 def test_frequency_of_rotating_frame():
@@ -155,10 +186,34 @@ def test_equilibrium_equivalence_with_nonsingular_gains():
                 blocks[i] = K
                 break
     gains = GainSet(blocks=blocks)
-    state = _state([(0, 1), (1, 2), (2, 3), (3, 0)], range(n_inv))
+    state = _state([(0, 1), (1, 2), (2, 3), (3, 0)], n_inv, gains)
     v_p, v_q = consensus_patterns(n_inv)
     S_shared = 0.7 * v_p + 0.2 * v_q
-    assert np.abs(control_derivative(gains, state, S_shared)).max() < 1e-14
+    assert np.abs(_law(state, S_shared)[0]).max() < 1e-14
     S_off = S_shared.copy()
     S_off[0] += 0.05
-    assert np.abs(control_derivative(gains, state, S_off)).max() > 1e-6
+    assert np.abs(_law(state, S_off)[0]).max() > 1e-6
+
+
+# -- malformed gains files --------------------------------------------------------
+
+
+def _gains_text(limits=None, gain="-10.0"):
+    limits = limits or '"freq_dev_max_hz": 0.3, "E_dot_max_pu_per_s": 0.05'
+    return ('{"rate_limits": {%s}, "gains_mrad_mV": {"0": [[%s, 0.0], [0.0, -10.0]], '
+            '"1": [[-10.0, 0.0], [0.0, -10.0]]}}' % (limits, gain))
+
+
+def test_non_numeric_rate_limit_is_parse_error():
+    with pytest.raises(ParseError):
+        parse_gains(_gains_text(limits='"freq_dev_max_hz": "x"'))
+
+
+def test_nan_gain_is_validation_error():
+    with pytest.raises(ValidationError, match="finite"):
+        parse_gains(_gains_text(gain="NaN"))
+
+
+def test_nan_rate_limit_is_validation_error():
+    with pytest.raises(ValidationError, match="finite"):
+        parse_gains(_gains_text(limits='"E_dot_max_pu_per_s": NaN'))

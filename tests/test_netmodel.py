@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import microgridctl as mg
-from microgridctl.netmodel import ValidationError, case_to_json, laplacian
+from microgridctl.netmodel import ValidationError, bfs_tree, case_to_json, laplacian
+from microgridctl.powerflow import kron_reduce
 
 from conftest import inverter, line, make_case, pq_load, z_load
 
@@ -14,7 +16,6 @@ def test_bundled_case_shape(case14):
     assert case14.n == 14
     assert case14.n_inverters == 5
     assert case14.inverter_ids == (0, 1, 2, 5, 7)
-    assert case14.state_order[:5] == (0, 1, 2, 5, 7)
     assert math.isclose(case14.gamma, math.radians(15.0))
     assert math.isclose(case14.omega0, 2 * math.pi * 50.0)
 
@@ -83,11 +84,16 @@ def test_shunt_halves_at_each_end():
 
 
 def test_impedance_loads_fold_into_diagonal_when_asked():
+    """Kron elimination adds an eliminated bus's load to its diagonal as G - jB."""
     case = make_case([inverter(0), z_load(1, G=0.5, B=0.2)], [line(0, 1)], [])
-    Y_plain = mg.build_admittance(case)
-    Y_shunt = mg.build_admittance(case, impedance_loads_as_shunts=True)
-    assert np.isclose(Y_shunt.Y[1, 1] - Y_plain.Y[1, 1], 0.5 - 0.2j)
-    assert np.isclose(Y_shunt.Y[0, 0], Y_plain.Y[0, 0])
+    Y = mg.build_admittance(case)
+    shunt = case.buses[1].load.shunt_admittance()
+    assert shunt == 0.5 - 0.2j
+    Y_red, X = kron_reduce(Y, [0], {1: shunt})
+    y11 = Y.Y[1, 1] + shunt
+    assert np.isclose(X[0, 0], -Y.Y[1, 0] / y11)
+    assert np.isclose(Y_red.Y[0, 0], Y.Y[0, 0] - Y.Y[0, 1] * Y.Y[1, 0] / y11)
+    assert np.isclose(Y.Y[1, 1], 1 / 0.1j)  # the matrix itself carries the line only
 
 
 def test_14bus_admittance_matches_naive_reassembly(case14, Y14):
@@ -190,3 +196,36 @@ def test_parse_error_reports_field():
         mg.parse_case("{}")
     with pytest.raises(mg.ParseError):
         mg.parse_case("not json at all")
+
+
+def _case_text(bus_patch=None, line_patch=None, load=None):
+    buses = [inverter(0), inverter(1), pq_load(2, P=0.1, Q=0.05)]
+    if load is not None:
+        buses[2]["load"] = load
+    buses[1].update(bus_patch or {})
+    lines = [line(0, 2), line(1, 2)]
+    lines[0].update(line_patch or {})
+    return json.dumps({"buses": buses, "lines": lines, "comm_edges": [[0, 1]],
+                       "params": {"gamma_deg": 15.0, "f0_hz": 50.0}})
+
+
+def test_constant_power_load_without_p_is_parse_error():
+    with pytest.raises(mg.ParseError):
+        mg.parse_case(_case_text(load={"kind": "constant_power", "Q": 0.05}))
+
+
+def test_nan_line_resistance_is_validation_error():
+    with pytest.raises(ValidationError, match="finite"):
+        mg.parse_case(_case_text(line_patch={"R": math.nan}))
+
+
+def test_infinite_bus_voltage_limit_is_validation_error():
+    with pytest.raises(ValidationError, match="finite"):
+        mg.parse_case(_case_text(bus_patch={"E_max": math.inf}))
+
+
+def test_bfs_tree_visits_sorted_neighbours_first_in_first_out():
+    edges = [(0, 3), (2, 0), (0, 1), (3, 4), (1, 4)]
+    tree = bfs_tree(range(5), edges, 0)
+    assert tree == [(0, 1, 2, +1), (0, 2, 1, -1), (0, 3, 0, +1), (1, 4, 4, +1)]
+    assert bfs_tree([0, 1, 2], edges, 0) == [(0, 1, 2, +1), (0, 2, 1, -1)]  # 3, 4 dropped

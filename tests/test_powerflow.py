@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import microgridctl as mg
+from microgridctl.netmodel import LoadArrays
 from microgridctl.powerflow import (
     NewtonError,
     VoltageProfile,
@@ -145,7 +146,7 @@ def brute_force_load_point(case, Y, x_I, span=0.35, n_grid=61):
     inv = list(case.inverter_ids)
     theta[inv] = x_I[0::2]
     E[inv] = x_I[1::2]
-    loads = case.loads()
+    loads = LoadArrays.of(case.loads(), [load_id])
 
     def resid(th_l, e_l):
         theta[load_id] = th_l
@@ -236,7 +237,7 @@ def test_line_search_exhaustion_raises(monkeypatch, triangle_case):
     monkeypatch.setattr(powerflow, "kcl_residual", growing)
     theta, E = np.zeros(3), np.ones(3)
     with pytest.raises(NewtonError, match="line search") as err:
-        solve_algebraic(Y, theta, E, [2], triangle_case.loads())
+        solve_algebraic(Y, theta, E, [2], LoadArrays.of(triangle_case.loads(), [2]))
     assert calls["n"] == 31  # the start plus 30 halvings
     assert err.value.residual == 1.0
     assert theta[2] == 0.0 and E[2] == 1.0  # back at the last accepted iterate
@@ -258,7 +259,8 @@ def test_kron_reduce_is_exact_elimination(mixed_case):
     assert abs(current[4]) < 1e-14
     assert np.abs(Y_red.Y @ V[keep] - current[keep]).max() < 1e-13
     # KCL of the impedance load holds in power form on the full network
-    assert np.abs(kcl_residual(Y, np.angle(V), np.abs(V), [3, 4], case.loads())).max() < 1e-14
+    loads = LoadArrays.of(case.loads(), [3, 4])
+    assert np.abs(kcl_residual(Y, np.angle(V), np.abs(V), [3, 4], loads)).max() < 1e-14
 
 
 def test_kron_reduce_singular_block_raises(two_bus_inductive):
@@ -373,3 +375,46 @@ def test_full_jacobian_identities(case14, Y14):
     assert math.isclose(dQ_dth[k, k], P[k] - E[k] ** 2 * G[k, k], rel_tol=1e-10)
     assert math.isclose(dP_dE[k, k], P[k] / E[k] + E[k] * G[k, k], rel_tol=1e-10)
     assert math.isclose(dQ_dE[k, k], Q[k] / E[k] - E[k] * B[k, k], rel_tol=1e-10)
+
+
+def test_full_jacobian_rows_are_exact_row_subsets(case14, Y14):
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-0.2, 0.2, case14.n)
+    E = rng.uniform(0.95, 1.05, case14.n)
+    rows = [9, 2, 13]
+    for whole, part in zip(full_jacobian(Y14, theta, E), full_jacobian(Y14, theta, E, rows)):
+        assert part.shape == (3, case14.n)
+        assert np.array_equal(part, whole[rows])
+
+
+def test_load_arrays_match_per_load_demand(mixed_case):
+    loads = mixed_case.loads()
+    ids = list(mixed_case.load_ids)
+    arrays = LoadArrays.of(loads, ids)
+    E = np.array([0.93, 1.04, 1.07])
+    P, Q = arrays.demand(E)
+    dP, dQ = arrays.demand_derivative(E)
+    for k, i in enumerate(ids):
+        assert (P[k], Q[k]) == loads[i].demand(E[k])
+        assert (dP[k], dQ[k]) == (2.0 * loads[i].G * E[k], 2.0 * loads[i].B * E[k])
+
+
+def test_kcl_jacobian_parts_match_finite_differences(mixed_case):
+    Y = mg.build_admittance(mixed_case)
+    x = VoltageProfile(theta=np.array([0.02, -0.01, 0.03, 0.0, -0.02, 0.01]),
+                       E=np.array([1.02, 0.99, 1.01, 0.97, 0.98, 1.0]))
+    f_I, f_L = kcl_jacobian_parts(mixed_case, Y, x)
+    loads = LoadArrays.of(mixed_case.loads(), mixed_case.load_ids)
+    h = 1e-6
+
+    def column(i, comp):
+        shifted = []
+        for sign in (1.0, -1.0):
+            theta, E = x.theta.copy(), x.E.copy()
+            (theta if comp == 0 else E)[i] += sign * h
+            shifted.append(kcl_residual(Y, theta, E, list(mixed_case.load_ids), loads))
+        return (shifted[0] - shifted[1]) / (2 * h)
+
+    for J, ids in ((f_I, mixed_case.inverter_ids), (f_L, mixed_case.load_ids)):
+        fd = np.column_stack([column(i, c) for i in ids for c in (0, 1)])
+        assert rel_err(J, fd).max() < 1e-6

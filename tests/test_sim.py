@@ -5,8 +5,10 @@ import pytest
 
 import microgridctl as mg
 from microgridctl import data as bundled
-from microgridctl import powerflow
+from microgridctl import powerflow, sim
 from microgridctl.contingency import FaultEvent, OperatingCondition, apply_event
+from microgridctl.controller import control_derivative
+from microgridctl.netmodel import LoadArrays
 from microgridctl.powerflow import NewtonError, VoltageProfile, injections_raw, kcl_residual
 from microgridctl.sim import (
     SimConfig,
@@ -240,8 +242,9 @@ def kcl_per_row(case, Y, trace, events):
     for r in range(trace.n_rows):
         while pending and pending[0][0] <= trace.t[r] + 1e-12:
             cond = apply_event(case, cond, pending.pop(0)[1])
-        g = kcl_residual(Y, trace.theta[r], trace.E[r], cond.algebraic_ids(case),
-                         cond.effective_loads(case))
+        alg = list(cond.algebraic_ids(case))
+        loads = LoadArrays.of(cond.effective_loads(case), alg)
+        g = kcl_residual(Y, trace.theta[r], trace.E[r], alg, loads)
         out[r] = np.abs(g).max()
     return out
 
@@ -261,7 +264,40 @@ def test_bundled_loadstep_is_solved_by_elimination_alone(case14, Y14, gains14):
         "newton_iters": 0,
         "dt_halvings": 0,
         "derivative_evals": 4 * n_steps + tr.n_rows,
+        "start": "equilibrium",
+        "start_fallback": None,
     }
+
+
+def test_failed_equilibrium_start_is_recorded(monkeypatch, case14, Y14, gains14):
+    def fails(*args, **kwargs):
+        raise NewtonError("synthetic equilibrium failure")
+
+    monkeypatch.setattr(sim, "solve_equilibrium", fails)
+    tr = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.05), Y=Y14)
+    assert tr.meta["stats"]["start"] == "flat"
+    assert tr.meta["stats"]["start_fallback"] == "synthetic equilibrium failure"
+    assert np.all(tr.theta[0, list(case14.inverter_ids)] == 0.0)
+    assert np.all(tr.E[0, list(case14.inverter_ids)] == 1.0)
+    given = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.05), Y=Y14,
+                         initial=VoltageProfile.flat(case14.n))
+    assert given.meta["stats"]["start"] == "initial"
+    assert given.meta["stats"]["start_fallback"] is None
+    assert np.array_equal(given.theta, tr.theta) and np.array_equal(given.E, tr.E)
+
+
+def test_equilibrium_line_search_exhaustion_raises(monkeypatch, mixed_case):
+    Y = mg.build_admittance(mixed_case)
+    calls = {"n": 0}
+
+    def growing(Y, theta, E):
+        calls["n"] += 1
+        return np.full(len(E), float(calls["n"])), np.zeros(len(E))
+
+    monkeypatch.setattr(sim, "injections_raw", growing)
+    with pytest.raises(NewtonError, match="equilibrium solve line search"):
+        solve_equilibrium(mixed_case, Y, pin_E=1.0)
+    assert calls["n"] == 31  # the start plus 30 halvings
 
 
 def test_mixed_case_keeps_newton_for_nonlinear_buses(mixed_case):
@@ -288,8 +324,8 @@ def test_step_returns_full_profile_satisfying_kcl(mixed_case):
                  apply_event(mixed_case, OperatingCondition.initial(mixed_case), lost)):
         x1 = step(mixed_case, mixed_gains(), cond, x0, cfg, Y=Y)
         assert x1.theta.shape == x1.E.shape == (mixed_case.n,)
-        g = kcl_residual(Y, x1.theta, x1.E, cond.algebraic_ids(mixed_case),
-                         cond.effective_loads(mixed_case))
+        alg = list(cond.algebraic_ids(mixed_case))
+        g = kcl_residual(Y, x1.theta, x1.E, alg, LoadArrays.of(cond.effective_loads(mixed_case), alg))
         assert np.abs(g).max() <= cfg.newton_tol
 
 
@@ -306,7 +342,7 @@ def test_reduced_engine_matches_full_network(mixed_case):
         eng.resolve_algebraic()
         theta, E = eng.full()
         P, Q = injections_raw(Y, theta, E)
-        xdot, _ = eng.control_law(P[eng.act], Q[eng.act], E[eng.act])
+        xdot, _ = control_derivative(eng.control, P[eng.act], Q[eng.act], E[eng.act])
         assert np.abs(eng.derivative() - xdot).max() < 1e-12
         full.append(theta)
     assert np.abs(full[1] - full[0] - shift).max() < 1e-9
