@@ -509,10 +509,10 @@ class StabilityCertificate:
         U = np.array(self.U, dtype=float)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ValidationError("certificate U must be square")
-        if np.abs(U - U.T).max() > 1e-10 * max(1.0, np.abs(U).max()):
-            raise ValidationError("certificate U must be symmetric")
         if not np.all(np.isfinite(U)):
             raise ValidationError("certificate U must be finite")
+        if np.abs(U - U.T).max() > 1e-10 * max(1.0, np.abs(U).max()):
+            raise ValidationError("certificate U must be symmetric")
         if np.linalg.eigvalsh(U)[0] <= 0.0:
             raise ValidationError("certificate U must be positive definite")
         for name in ("eps", "xi", "zeta", "d"):
@@ -566,18 +566,19 @@ def parse_certificate(text: str) -> StabilityCertificate:
             digest=raw.get("digest", ""),
             meta=raw.get("meta", {}),
         )
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise CertificateError(f"bad certificate ({type(exc).__name__}: {exc})") from None
 
 
 def load_certificate(path, case: NetworkCase | None = None,
                      gains: GainSet | None = None) -> StabilityCertificate:
-    """Load a certificate, refusing it when the digest does not match."""
+    """Load a certificate; with case and gains given, refuse it unless its
+    digest is present and matches them."""
     with open(path, "r", encoding="utf-8") as fh:
         cert = parse_certificate(fh.read())
-    if case is not None and gains is not None and cert.digest:
-        if cert.digest != compute_digest(case, gains):
-            raise CertificateError("certificate digest does not match case + gains")
+    if case is not None and gains is not None and cert.digest != compute_digest(case, gains):
+        raise CertificateError("certificate digest does not match case + gains"
+                               if cert.digest else "certificate has no digest to check")
     return cert
 
 

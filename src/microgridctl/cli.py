@@ -153,6 +153,8 @@ def _cmd_simulate(args) -> int:
         write_trace_csv(trace, args.out)
         print(f"trace written to {args.out} ({trace.n_rows} rows)")
     print(metrics(trace, case).format())
+    if args.stats:
+        print(json.dumps(trace.meta["stats"], sort_keys=True))
     return EXIT_OK
 
 
@@ -195,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("gains")
     c.add_argument("scenario")
     c.add_argument("--out", help="trace CSV path")
+    c.add_argument("--stats", action="store_true", help="print the run counters as one JSON line")
     c.set_defaults(fn=_cmd_simulate)
 
     c = sub.add_parser("metrics", help="summarize a trace CSV")

@@ -3,8 +3,10 @@
 Each inverter integrates its voltage phasor according to a 2x2 gain times
 the comm-graph Laplacian acting on the neighbors' normalized injection
 pairs, with elementwise rate saturation and local voltage-bound clamping.
-``control_derivative`` is the one implementation of the law; the
-simulator calls it at every stage.
+Between events the law before saturation is one constant linear map of
+the injections, which ``ControlState.of`` precomputes per operating
+condition.  ``control_derivative`` is the one implementation of the law;
+the simulator calls it at every stage and at every recorded row.
 """
 
 from __future__ import annotations
@@ -109,55 +111,60 @@ class GainSet:
 class ControlState:
     """The controller's view of one operating condition, built once by ``of``.
 
-    ``lap`` is the comm-graph Laplacian over the active inverters
-    (``lap.order``, ascending); the arrays follow that order: the 2x2 gain
-    blocks, the nominal injections P*/Q* and the voltage bounds.
+    The arrays follow ``lap.order`` (the active inverters, ascending), with
+    rates ``[theta_dot; E_dot]`` and states ``[theta; E]`` stacked flat.
+    ``M`` folds the P*/Q* normalization, the Laplacian and the 2x2 gain
+    blocks into one map of ``[P; Q]``; ``rate_max`` holds the rate limits
+    and ``x_lo``/``x_hi`` the voltage box (angles are unbounded).
     """
 
     lap: CommLaplacian
-    K: np.ndarray
     p_star: np.ndarray
     q_star: np.ndarray
-    e_lo: np.ndarray
-    e_hi: np.ndarray
-    theta_dot_max: float
-    E_dot_max: float
+    M: np.ndarray
+    rate_max: np.ndarray
+    x_lo: np.ndarray
+    x_hi: np.ndarray
 
     @staticmethod
     def of(case: NetworkCase, gains: GainSet, lap: CommLaplacian) -> "ControlState":
         buses = [case.buses[i] for i in lap.order]
+        K = gains.per_inverter(lap.order)
+        p_star = np.array([b.P_star for b in buses])
+        q_star = np.array([b.Q_star for b in buses])
+        # rates[r*m + k] from input c at inverter j: K[k, r, c] L[k, j] / star_c[j]
+        KL = K[:, :, :, None] * lap.L[:, None, None, :] / np.stack((p_star, q_star))
+        inf = np.full(len(buses), np.inf)
         return ControlState(
             lap=lap,
-            K=gains.per_inverter(lap.order),
-            p_star=np.array([b.P_star for b in buses]),
-            q_star=np.array([b.Q_star for b in buses]),
-            e_lo=np.array([b.E_min for b in buses]),
-            e_hi=np.array([b.E_max for b in buses]),
-            theta_dot_max=gains.theta_dot_max,
-            E_dot_max=gains.E_dot_max,
+            p_star=p_star,
+            q_star=q_star,
+            M=KL.transpose(1, 0, 2, 3).reshape(2 * len(buses), 2 * len(buses)),
+            rate_max=np.repeat([gains.theta_dot_max, gains.E_dot_max], len(buses)),
+            x_lo=np.concatenate((-inf, [b.E_min for b in buses])),
+            x_hi=np.concatenate((inf, [b.E_max for b in buses])),
         )
 
 
-def control_derivative(state: ControlState, P, Q, E):
-    """Rate-saturated, voltage-clamped (theta_dot, E_dot) per active inverter.
+def control_derivative(state: ControlState, P, Q, x, out=None, count=False):
+    """Rate-saturated, voltage-clamped rates ``[theta_dot; E_dot]`` of the law.
 
-    P, Q and E are the active inverters' injections and magnitudes in
-    ``state.lap.order``.  The law normalizes the injections by P*/Q*, mixes
-    them through the Laplacian, applies each inverter's gain block, clips
-    the rates at the limits and zeroes any E_dot pointing out of the
-    voltage box.  Returns the (m, 2) rates and the number of clamped
-    inverters.
+    P, Q and the state x = ``[theta; E]`` are the active inverters' in
+    ``state.lap.order``.  The clip at the rate limits also applies the
+    clamp: an E_dot pointing out of the voltage box from its boundary is
+    bounded by 0.  ``M`` is applied as products, then row sums, since a
+    fused multiply-add would leave rounding residue where an exactly
+    shared input has zero rates.  Returns the rates (in ``out`` if given)
+    and, with ``count``, also the number of inverters clamped.
     """
-    S = np.empty((len(state.p_star), 2))
-    S[:, 0] = P / state.p_star
-    S[:, 1] = Q / state.q_star
-    mix = state.lap.L @ S
-    xdot = np.einsum("kij,kj->ki", state.K, mix)
-    np.clip(xdot[:, 0], -state.theta_dot_max, state.theta_dot_max, out=xdot[:, 0])
-    np.clip(xdot[:, 1], -state.E_dot_max, state.E_dot_max, out=xdot[:, 1])
-    clamp = ((E >= state.e_hi) & (xdot[:, 1] > 0.0)) | ((E <= state.e_lo) & (xdot[:, 1] < 0.0))
-    xdot[clamp, 1] = 0.0
-    return xdot, int(clamp.sum())
+    raw = np.add.reduce(state.M * np.concatenate((P, Q)), axis=1)
+    room_hi = x < state.x_hi
+    room_lo = x > state.x_lo
+    out = np.maximum(raw, -state.rate_max * room_lo, out=out)
+    np.minimum(out, state.rate_max * room_hi, out=out)
+    if not count:
+        return out
+    return out, int(np.count_nonzero((raw > 0.0) & ~room_hi | (raw < 0.0) & ~room_lo))
 
 
 def frequency_of(theta_dot, omega0: float):
@@ -191,7 +198,7 @@ def parse_gains(text: str) -> GainSet:
         e_dot_max = float(limits.get("E_dot_max_pu_per_s", 0.05))
     except CaseError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed gains file ({type(exc).__name__}: {exc})") from None
     return GainSet(blocks=blocks, theta_dot_max=theta_dot_max, E_dot_max=e_dot_max)
 

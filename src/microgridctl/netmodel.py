@@ -457,7 +457,7 @@ def parse_case(text: str) -> NetworkCase:
         return _case_from_json(raw)
     except CaseError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed case ({type(exc).__name__}: {exc})") from None
 
 

@@ -110,7 +110,7 @@ class JacobianPair:
 def injections_raw(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray):
     """Per-bus (P, Q) via the complex form of the power-flow equations."""
     V = E * np.exp(1j * theta)
-    S = V * np.conj(Y.Y @ V)
+    S = V * np.conj(Y.Y.dot(V))
     return S.real, S.imag
 
 

@@ -7,10 +7,11 @@ condition, every algebraic bus whose load is linear in V (constant
 impedance, or zero constant power such as a lost DER's open breaker) is
 folded into the admittance as a shunt and Kron-eliminated, so its voltage
 is an exact linear function of the kept buses.  Only the remaining
-nonlinear buses are re-solved by Newton at every stage, with warm starts.
-Scenario events reconfigure the operating condition between steps.
-Traces are deterministic: fixed step, fixed iteration order, no
-wall-clock anywhere.
+nonlinear buses are re-solved by Newton at every stage, with warm starts;
+without any, a stage is one injection evaluation and one call of the
+control law on flat ``[theta; E]`` vectors.  Scenario events reconfigure
+the operating condition between steps.  Traces are deterministic: fixed
+step, fixed iteration order, no wall-clock anywhere.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def parse_scenario(text: str, case: NetworkCase | None = None) -> Scenario:
         return _scenario_from_json(raw, case)
     except CaseError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed scenario ({type(exc).__name__}: {exc})") from None
 
 
@@ -190,21 +191,15 @@ def write_trace_csv(trace: Trace, path):
     cols += [f"Q_{i}" for i in trace.inverter_ids]
     cols += [f"f_{i}" for i in trace.inverter_ids]
     cols += ["clamp_active", "angle_violation", "newton_iters", "sharing_err_P", "sharing_err_Q"]
+    row = ",".join(["%.17g"] * (len(cols) - 5) + ["%d"] * 3 + ["%.17g"] * 2) + "\n"
+    fields = (trace.t, trace.theta, trace.E, trace.P_inv, trace.Q_inv, trace.f_inv,
+              trace.clamp_active, trace.angle_violation, trace.newton_iters,
+              trace.sharing_P, trace.sharing_Q)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for r in range(trace.n_rows):
-            vals = [f"{trace.t[r]:.17g}"]
-            vals += [f"{v:.17g}" for v in trace.theta[r]]
-            vals += [f"{v:.17g}" for v in trace.E[r]]
-            vals += [f"{v:.17g}" for v in trace.P_inv[r]]
-            vals += [f"{v:.17g}" for v in trace.Q_inv[r]]
-            vals += [f"{v:.17g}" for v in trace.f_inv[r]]
-            vals.append(str(int(trace.clamp_active[r])))
-            vals.append(str(int(trace.angle_violation[r])))
-            vals.append(str(int(trace.newton_iters[r])))
-            vals.append(f"{trace.sharing_P[r]:.17g}")
-            vals.append(f"{trace.sharing_Q[r]:.17g}")
-            fh.write(",".join(vals) + "\n")
+        for lo in range(0, trace.n_rows, 128):  # a block at a time keeps the copy small
+            block = np.column_stack([a[lo : lo + 128] for a in fields])
+            fh.writelines(row % tuple(r) for r in block.tolist())
 
 
 def read_trace_csv(path) -> Trace:
@@ -325,9 +320,10 @@ class _Engine:
     """Mutable integration state over the kept buses of the current condition.
 
     ``set_condition`` Kron-eliminates the linear algebraic buses once per
-    event.  The work arrays ``theta``/``E`` then cover the kept buses only:
-    the active inverters first, then the nonlinear algebraic buses, so a
-    stage touches plain slices.  ``full`` recovers the whole network.
+    event.  The work array ``x`` is then ``[theta; E]`` over the kept buses
+    only (active inverters first, then the nonlinear algebraic buses), with
+    views ``theta``/``E``; ``x[ia]`` is the inverters' part, all of ``x``
+    when no nonlinear bus is kept.  ``full`` recovers the whole network.
     """
 
     def __init__(self, case: NetworkCase, gains: GainSet, config: SimConfig, Y,
@@ -347,20 +343,24 @@ class _Engine:
         self.cond = cond
         case = self.case
         self.active = list(cond.active_inverters)
-        self.n_act = len(self.active)
+        n = self.n_act = len(self.active)
         self.control = ControlState.of(case, self.gains, cond.lap())
         loads = cond.effective_loads(case)
         alg = cond.algebraic_ids(case)
         nonlinear = [i for i in alg if not loads[i].linear]
         shunts = {i: loads[i].shunt_admittance() for i in alg if loads[i].linear}
         self.kept = np.asarray(self.active + nonlinear, dtype=int)
-        self.act = self.kept[: self.n_act]
+        self.act = self.kept[:n]
         self.elim = np.asarray(sorted(shunts), dtype=int)
         self.Y_red, self.X = kron_reduce(self.Y, self.kept, shunts)
-        self.alg_pos = np.arange(self.n_act, len(self.kept))
+        nk = len(self.kept)
+        self.alg_pos = np.arange(n, nk)
         self.loads = LoadArrays.of(loads, nonlinear)
-        self.theta = np.asarray(theta, dtype=float)[self.kept]
-        self.E = np.asarray(E, dtype=float)[self.kept]
+        self.x = np.concatenate((np.asarray(theta, dtype=float)[self.kept],
+                                 np.asarray(E, dtype=float)[self.kept]))
+        self.theta, self.E = self.x[:nk], self.x[nk:]
+        self.ia = slice(None) if nk == n else np.r_[0:n, nk : nk + n]
+        self.k = np.empty((4, 2 * n))  # the RK4 stage rates
         self.stats["eliminated_buses"].append(len(self.elim))
 
     def full(self):
@@ -381,6 +381,9 @@ class _Engine:
         return theta, E
 
     def resolve_algebraic(self) -> int:
+        """Newton on the nonlinear buses; nothing to do when none is kept."""
+        if not len(self.alg_pos):
+            return 0
         try:
             its = solve_algebraic(
                 self.Y_red, self.theta, self.E, self.alg_pos, self.loads,
@@ -392,56 +395,38 @@ class _Engine:
         self.stats["newton_iters"] += its
         return its
 
-    def control_law(self, P_act, Q_act, E_act):
+    def control_law(self, P_act, Q_act, x_act, out=None, count=False):
         """``control_derivative`` at the current condition, counted in the stats."""
         self.stats["derivative_evals"] += 1
-        return control_derivative(self.control, P_act, Q_act, E_act)
+        return control_derivative(self.control, P_act, Q_act, x_act, out, count)
 
-    def derivative(self):
+    def derivative(self, out=None):
         """Control law on the reduced network's injections at the kept state."""
         n = self.n_act
         P, Q = injections_raw(self.Y_red, self.theta, self.E)
-        return self.control_law(P[:n], Q[:n], self.E[:n])[0]
-
-    def _stage_apply(self, th0, E0, k, c, dt):
-        n = self.n_act
-        self.theta[:n] = th0 + c * dt * k[:, 0]
-        self.E[:n] = E0 + c * dt * k[:, 1]
+        return self.control_law(P[:n], Q[:n], self.x[self.ia], out)
 
     def _try_step(self, dt: float) -> int:
-        n = self.n_act
-        th0 = self.theta[:n].copy()
-        E0 = self.E[:n].copy()
-        its = 0
+        x, ia, k = self.x, self.ia, self.k
+        x0 = x[ia].copy()
         if self.config.integrator == EULER:
-            k1 = self.derivative()
-            self._stage_apply(th0, E0, k1, 1.0, dt)
+            x[ia] = x0 + dt * self.derivative(k[0])
+            return self.resolve_algebraic()
+        its = 0
+        for s, c in enumerate((0.5, 0.5, 1.0)):
+            x[ia] = x0 + c * dt * self.derivative(k[s])
             its += self.resolve_algebraic()
-            return its
-        k1 = self.derivative()
-        self._stage_apply(th0, E0, k1, 0.5, dt)
-        its += self.resolve_algebraic()
-        k2 = self.derivative()
-        self._stage_apply(th0, E0, k2, 0.5, dt)
-        its += self.resolve_algebraic()
-        k3 = self.derivative()
-        self._stage_apply(th0, E0, k3, 1.0, dt)
-        its += self.resolve_algebraic()
-        k4 = self.derivative()
-        self.theta[:n] = th0 + (dt / 6.0) * (k1[:, 0] + 2 * k2[:, 0] + 2 * k3[:, 0] + k4[:, 0])
-        self.E[:n] = E0 + (dt / 6.0) * (k1[:, 1] + 2 * k2[:, 1] + 2 * k3[:, 1] + k4[:, 1])
-        its += self.resolve_algebraic()
-        return its
+        self.derivative(k[3])
+        x[ia] = x0 + (dt / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+        return its + self.resolve_algebraic()
 
     def advance(self, dt: float, depth: int = 0) -> int:
         """One step of size dt; on Newton failure halve up to 4 times."""
-        theta_save = self.theta.copy()
-        E_save = self.E.copy()
+        saved = self.x.copy()
         try:
             return self._try_step(dt)
         except NewtonError as exc:
-            self.theta[:] = theta_save
-            self.E[:] = E_save
+            self.x[:] = saved
             if depth >= 4:
                 raise SimulationError(
                     f"step failed after 4 halvings (dt={dt:.3e}): {exc}"
@@ -529,16 +514,16 @@ def run_scenario(
         nonlocal row, its_accum
         theta, E = eng.full()
         P, Q = injections_raw(Y, theta, E)
-        xdot, n_clamp = eng.control_law(P[eng.act], Q[eng.act], E[eng.act])
+        act = eng.act
+        rates, n_clamp = eng.control_law(P[act], Q[act], np.concatenate((theta[act], E[act])),
+                                         count=True)
         rec["t"][row] = t
         rec["theta"][row] = theta
         rec["E"][row] = E
         rec["P"][row] = P[inv_arr]
         rec["Q"][row] = Q[inv_arr]
-        freq = np.full(len(inv_ids), np.nan)
-        for k, i in enumerate(eng.active):
-            freq[inv_ids.index(i)] = frequency_of(xdot[k, 0], case.omega0)
-        rec["f"][row] = freq
+        rec["f"][row] = np.nan
+        rec["f"][row, np.searchsorted(inv_arr, act)] = frequency_of(rates[: len(act)], case.omega0)
         rec["clamp"][row] = n_clamp
         if len(lines_f):
             max_ang = np.abs(theta[lines_f] - theta[lines_t]).max()

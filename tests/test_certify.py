@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import microgridctl as mg
 from microgridctl import certify
+from microgridctl import data as bundled
 from microgridctl.certify import (
     BlockBounds,
     CapacityBox,
@@ -291,6 +292,20 @@ def test_certificate_digest_mismatch_rejected(tmp_path, case14, gains14, cert14)
     path.write_text(certificate_to_json(cert14))
     with pytest.raises(CertificateError, match="digest"):
         certify.load_certificate(path, case14, gains14)  # wrong gains for this cert
+
+
+@pytest.mark.parametrize("digest", ["", None])
+def test_certificate_without_digest_rejected(tmp_path, case14, gains14_synth, digest):
+    doc = json.loads(bundled.data_path(bundled.CERT14).read_text(encoding="utf-8"))
+    if digest is None:
+        del doc["digest"]
+    else:
+        doc["digest"] = digest
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CertificateError, match="no digest"):
+        certify.load_certificate(path, case14, gains14_synth)
+    assert certify.load_certificate(path).digest == ""  # nothing to check it against
 
 
 def test_verify_bundled_certificate(case14, gains14_synth, cert14, hull14):

@@ -51,6 +51,15 @@ def test_certify_rejects_mismatched_digest(capsys):
     assert main(["certify", CASE, GAINS, "--cert", CERT]) == 3
 
 
+def test_certify_rejects_certificate_without_digest(tmp_path, capsys):
+    doc = json.loads(bundled.data_path(bundled.CERT14).read_text(encoding="utf-8"))
+    doc["digest"] = ""
+    path = tmp_path / "no_digest.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", CASE, GAINS, "--cert", str(path)]) == 3
+    assert "no digest" in capsys.readouterr().err
+
+
 def test_certify_rejects_corrupted_certificate(tmp_path, capsys):
     cert = bundled.bundled_certificate()
     U = np.array(cert.U)
@@ -142,3 +151,16 @@ def test_certify_with_nan_gain_exits_1_without_traceback(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_simulate_stats_prints_run_counters(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "events": [{"t": 0.05, "kind": "der_loss", "bus": 0}],
+        "sim": {"t_end": 0.1, "dt": 0.005, "record_stride": 4},
+    }))
+    assert main(["simulate", CASE, GAINS, str(scen), "--stats"]) == 0
+    stats = json.loads(capsys.readouterr().out.splitlines()[-1])
+    # 20 RK4 steps of 4 stages, plus one law evaluation per recorded row (t = 0, 0.02, ..., 0.1)
+    assert stats == {"derivative_evals": 86, "dt_halvings": 0, "eliminated_buses": [9, 10],
+                     "newton_iters": 0, "start": "equilibrium", "start_fallback": None}

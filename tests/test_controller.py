@@ -28,9 +28,14 @@ def _state(edges, n_inv, gains, lo=0.9, hi=1.1):
 
 
 def _law(state, S, E=None):
-    """The law on stacked normalized pairs S (P* = Q* = 1 makes them the injections)."""
+    """The law on stacked normalized pairs S (P* = Q* = 1 makes them the injections).
+
+    Returns the rates as (m, 2) per-inverter (theta_dot, E_dot) rows and the clamp count.
+    """
     m = len(S) // 2
-    return control_derivative(state, S[0::2], S[1::2], np.ones(m) if E is None else E)
+    x = np.concatenate((np.zeros(m), np.ones(m) if E is None else E))
+    rates, n_clamped = control_derivative(state, S[0::2], S[1::2], x, count=True)
+    return rates.reshape(2, m).T, n_clamped
 
 
 def test_consensus_input_gives_exact_zero():
@@ -55,11 +60,69 @@ def test_control_state_follows_laplacian_order(case14, gains14):
     lap = laplacian(case14.comm_edges, [7, 0, 5])
     state = ControlState.of(case14, gains14, lap)
     assert lap.order == (0, 5, 7)
-    assert np.array_equal(state.K, np.array([gains14.blocks[i] for i in (0, 5, 7)]))
+    for k, i in enumerate(lap.order):  # each inverter's own-bus entries carry its own block
+        own = state.M[np.ix_([k, 3 + k], [k, 3 + k])]
+        bus = case14.buses[i]
+        assert np.array_equal(own, gains14.blocks[i] * lap.L[k, k] / [bus.P_star, bus.Q_star])
     assert np.array_equal(state.p_star, [case14.buses[i].P_star for i in (0, 5, 7)])
-    assert np.array_equal(state.e_hi, [case14.buses[i].E_max for i in (0, 5, 7)])
+    assert np.array_equal(state.x_hi[3:], [case14.buses[i].E_max for i in (0, 5, 7)])
+    assert np.array_equal(state.x_lo[3:], [case14.buses[i].E_min for i in (0, 5, 7)])
     with pytest.raises(ValidationError, match="no gain block"):
         ControlState.of(case14, GainSet(blocks={0: -np.eye(2)}), lap)
+
+
+def _reference_law(case, gains, lap, P, Q, E):
+    """The paper's law written out: normalize, L (x) I2, the 2x2 gains, rate clip, voltage clamp.
+
+    Returns interleaved [theta_dot_k, E_dot_k] rates and the number of clamped inverters.
+    """
+    buses = [case.buses[i] for i in lap.order]
+    s = np.empty(2 * len(buses))
+    s[0::2] = P / [b.P_star for b in buses]
+    s[1::2] = Q / [b.Q_star for b in buses]
+    xdot = gains.stacked(lap.order) @ (lap.kron2() @ s)
+    xdot[0::2] = np.clip(xdot[0::2], -gains.theta_dot_max, gains.theta_dot_max)
+    xdot[1::2] = np.clip(xdot[1::2], -gains.E_dot_max, gains.E_dot_max)
+    n_clamped = 0
+    for k, b in enumerate(buses):
+        if (E[k] >= b.E_max and xdot[2 * k + 1] > 0.0) or (E[k] <= b.E_min and xdot[2 * k + 1] < 0.0):
+            xdot[2 * k + 1] = 0.0
+            n_clamped += 1
+    return xdot, n_clamped
+
+
+def test_fused_law_matches_reference_law(case14, gains14):
+    """240 seeded states over four conditions, one of them a lone inverter.
+
+    Voltages sit exactly on, just past or inside their bounds and injections reach
+    20x nominal, so the rates cross both limits and the clamp binds both ways.
+    """
+    ring = case14.comm_edges
+    laps = [laplacian(ring, case14.inverter_ids), laplacian(ring[1:], case14.inverter_ids),
+            laplacian(ring, (1, 2, 5, 7)), laplacian(ring, (5,))]
+    rng = np.random.default_rng(2015)
+    seen = set()
+    for trial in range(240):
+        lap = laps[trial % len(laps)]
+        state = ControlState.of(case14, gains14, lap)
+        m = len(lap.order)
+        lo, hi = state.x_lo[m:], state.x_hi[m:]
+        P = rng.uniform(-20.0, 20.0, m) * state.p_star
+        Q = rng.uniform(-20.0, 20.0, m) * state.q_star
+        E = np.choose(rng.integers(5, size=m), [lo, hi, lo - 1e-3, hi + 1e-3, 0.5 * (lo + hi)])
+        rates, n_clamped = control_derivative(state, P, Q, np.r_[rng.uniform(-4, 4, m), E],
+                                              count=True)
+        ref, n_ref = _reference_law(case14, gains14, lap, P, Q, E)
+        assert np.abs(rates - np.r_[ref[0::2], ref[1::2]]).max() <= 1e-14
+        assert n_clamped == n_ref
+        seen |= {(name, bound) for name, r, bound in (("theta", rates[:m], gains14.theta_dot_max),
+                                                      ("E", rates[m:], gains14.E_dot_max))
+                 for bound in (bound, -bound) if np.any(r == bound)}
+        unclamped = _reference_law(case14, gains14, lap, P, Q, 0.5 * (lo + hi))[0][1::2]
+        seen |= {("clamp", side) for side, binds in (("hi", (E >= hi) & (unclamped > 0.0)),
+                                                     ("lo", (E <= lo) & (unclamped < 0.0)))
+                 if np.any(binds)}
+    assert len(seen) == 6  # both limits of both rates, and the clamp at both bounds
 
 
 def test_saturation_caps_both_components():
@@ -84,7 +147,8 @@ def test_saturation_idempotent(vals):
     limits = np.array([0.5, 0.05])
     assert np.array_equal(np.clip(xdot, -limits, limits), xdot)
     linear = -50.0 * (state.lap.L @ S.reshape(2, 2))
-    assert np.array_equal(xdot, np.clip(linear, -limits, limits))
+    # the fused map rounds each gain-Laplacian product on its own: a few ulp of |linear| <= 1000
+    assert np.abs(xdot - np.clip(linear, -limits, limits)).max() <= 1e-12
 
 
 def test_translation_invariance_of_injections(triangle_case):

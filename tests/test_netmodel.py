@@ -196,6 +196,10 @@ def test_parse_error_reports_field():
         mg.parse_case("{}")
     with pytest.raises(mg.ParseError):
         mg.parse_case("not json at all")
+    doc = json.loads(_case_text())
+    doc["comm_edges"] = [[0]]  # an edge with one endpoint
+    with pytest.raises(mg.ParseError, match="IndexError"):
+        mg.parse_case(json.dumps(doc))
 
 
 def _case_text(bus_patch=None, line_patch=None, load=None):

@@ -118,6 +118,28 @@ def test_rotating_frame_invariance(triangle_case):
     assert np.abs(trs.sharing_P - tr.sharing_P).max() < 1e-9
 
 
+def test_trace_csv_bytes_match_per_value_formatting(tmp_path, case14, gains14):
+    """The one-format-per-row writer gives the bytes of formatting every value on its own."""
+    tr = run_scenario(case14, gains14, bundled.bundled_scenario(bundled.SCENARIO_DERLOSS))
+    assert np.isnan(tr.f_inv).any()  # the lost inverter's frequency column
+    path = tmp_path / "derloss.csv"
+    write_trace_csv(tr, path)
+    cols = ["t"] + [f"theta_{i}" for i in tr.bus_ids] + [f"E_{i}" for i in tr.bus_ids]
+    for name in ("P", "Q", "f"):
+        cols += [f"{name}_{i}" for i in tr.inverter_ids]
+    cols += ["clamp_active", "angle_violation", "newton_iters", "sharing_err_P", "sharing_err_Q"]
+    rows = [",".join(cols)]
+    for r in range(tr.n_rows):
+        vals = [f"{tr.t[r]:.17g}"]
+        for block in (tr.theta, tr.E, tr.P_inv, tr.Q_inv, tr.f_inv):
+            vals += [f"{v:.17g}" for v in block[r]]
+        vals += [str(int(tr.clamp_active[r])), str(int(tr.angle_violation[r])),
+                 str(int(tr.newton_iters[r]))]
+        vals += [f"{tr.sharing_P[r]:.17g}", f"{tr.sharing_Q[r]:.17g}"]
+        rows.append(",".join(vals))
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
+
+
 def test_trace_csv_roundtrip(tmp_path, case14, Y14, gains14):
     scn = scenario_of(case14, [], t_end=0.1, dt=0.005, stride=2)
     tr = run_scenario(case14, gains14, scn, Y=Y14)
@@ -342,7 +364,8 @@ def test_reduced_engine_matches_full_network(mixed_case):
         eng.resolve_algebraic()
         theta, E = eng.full()
         P, Q = injections_raw(Y, theta, E)
-        xdot, _ = control_derivative(eng.control, P[eng.act], Q[eng.act], E[eng.act])
+        xdot = control_derivative(eng.control, P[eng.act], Q[eng.act],
+                                  np.r_[theta[eng.act], E[eng.act]])
         assert np.abs(eng.derivative() - xdot).max() < 1e-12
         full.append(theta)
     assert np.abs(full[1] - full[0] - shift).max() < 1e-9
