@@ -29,6 +29,7 @@ from .powerflow import (
 from .controller import (
     ControlState,
     GainSet,
+    clamp_count,
     control_derivative,
     frequency_of,
     load_gains,

@@ -3,10 +3,9 @@
 Each inverter integrates its voltage phasor according to a 2x2 gain times
 the comm-graph Laplacian acting on the neighbors' normalized injection
 pairs, with elementwise rate saturation and local voltage-bound clamping.
-Between events the law before saturation is one constant linear map of
-the injections, which ``ControlState.of`` precomputes per operating
-condition.  ``control_derivative`` is the one implementation of the law;
-the simulator calls it at every stage and at every recorded row.
+``ControlState.of`` precomputes the two constant maps before saturation
+(Laplacian mix, gains) per operating condition; ``control_derivative``,
+the one implementation of the law, runs at every stage and recorded row.
 """
 
 from __future__ import annotations
@@ -111,60 +110,65 @@ class GainSet:
 class ControlState:
     """The controller's view of one operating condition, built once by ``of``.
 
-    The arrays follow ``lap.order`` (the active inverters, ascending), with
-    rates ``[theta_dot; E_dot]`` and states ``[theta; E]`` stacked flat.
-    ``M`` folds the P*/Q* normalization, the Laplacian and the 2x2 gain
-    blocks into one map of ``[P; Q]``; ``rate_max`` holds the rate limits
-    and ``x_lo``/``x_hi`` the voltage box (angles are unbounded).
+    The arrays follow ``lap.order`` (the active inverters, ascending) and
+    rates are ``[theta_dot; E_dot]`` stacked flat.  ``mix`` applies the
+    Laplacian to ``[P/P*; Q/Q*]``, ``gain`` each inverter's 2x2 block to its
+    mixed pair; ``rate_max`` holds the rate limits, ``e_lo``/``e_hi`` the box.
     """
 
     lap: CommLaplacian
     p_star: np.ndarray
     q_star: np.ndarray
-    M: np.ndarray
+    mix: np.ndarray
+    gain: np.ndarray
     rate_max: np.ndarray
-    x_lo: np.ndarray
-    x_hi: np.ndarray
+    e_lo: np.ndarray
+    e_hi: np.ndarray
 
     @staticmethod
     def of(case: NetworkCase, gains: GainSet, lap: CommLaplacian) -> "ControlState":
         buses = [case.buses[i] for i in lap.order]
+        m = len(buses)
         K = gains.per_inverter(lap.order)
         p_star = np.array([b.P_star for b in buses])
         q_star = np.array([b.Q_star for b in buses])
-        # rates[r*m + k] from input c at inverter j: K[k, r, c] L[k, j] / star_c[j]
-        KL = K[:, :, :, None] * lap.L[:, None, None, :] / np.stack((p_star, q_star))
-        inf = np.full(len(buses), np.inf)
+        # gain[r*m + k, c*m + j] = K[k, r, c] for j == k
+        gain = K.transpose(1, 0, 2)[:, :, :, None] * np.eye(m)[None, :, None, :]
         return ControlState(
             lap=lap,
             p_star=p_star,
             q_star=q_star,
-            M=KL.transpose(1, 0, 2, 3).reshape(2 * len(buses), 2 * len(buses)),
-            rate_max=np.repeat([gains.theta_dot_max, gains.E_dot_max], len(buses)),
-            x_lo=np.concatenate((-inf, [b.E_min for b in buses])),
-            x_hi=np.concatenate((inf, [b.E_max for b in buses])),
+            mix=np.kron(np.eye(2), lap.L) / np.concatenate((p_star, q_star)),
+            gain=gain.reshape(2 * m, 2 * m),
+            rate_max=np.repeat([gains.theta_dot_max, gains.E_dot_max], m),
+            e_lo=np.array([b.E_min for b in buses]),
+            e_hi=np.array([b.E_max for b in buses]),
         )
 
 
-def control_derivative(state: ControlState, P, Q, x, out=None, count=False):
+def control_derivative(state: ControlState, P, Q, E, out=None):
     """Rate-saturated, voltage-clamped rates ``[theta_dot; E_dot]`` of the law.
 
-    P, Q and the state x = ``[theta; E]`` are the active inverters' in
-    ``state.lap.order``.  The clip at the rate limits also applies the
-    clamp: an E_dot pointing out of the voltage box from its boundary is
-    bounded by 0.  ``M`` is applied as products, then row sums, since a
-    fused multiply-add would leave rounding residue where an exactly
-    shared input has zero rates.  Returns the rates (in ``out`` if given)
-    and, with ``count``, also the number of inverters clamped.
+    P, Q and E are the active inverters' in ``state.lap.order``.  The two
+    maps stay apart rather than fused into one, so the mix rounds as the
+    unfused law does and an exactly shared input gives exact zero rates.
+    An E_dot pointing out of the voltage box from its boundary is zeroed.
+    Returns the rates (in ``out`` if given) and the raw rates, for
+    ``clamp_count``.
     """
-    raw = np.add.reduce(state.M * np.concatenate((P, Q)), axis=1)
-    room_hi = x < state.x_hi
-    room_lo = x > state.x_lo
-    out = np.maximum(raw, -state.rate_max * room_lo, out=out)
-    np.minimum(out, state.rate_max * room_hi, out=out)
-    if not count:
-        return out
-    return out, int(np.count_nonzero((raw > 0.0) & ~room_hi | (raw < 0.0) & ~room_lo))
+    raw = state.gain.dot(state.mix.dot(np.concatenate((P, Q))))
+    out = np.minimum(raw, state.rate_max, out=out)
+    np.maximum(out, -state.rate_max, out=out)
+    e_dot = out[len(E):]
+    np.minimum(e_dot, 0.0, out=e_dot, where=E >= state.e_hi)
+    np.maximum(e_dot, 0.0, out=e_dot, where=E <= state.e_lo)
+    return out, raw
+
+
+def clamp_count(state: ControlState, raw, E) -> int:
+    """Number of inverters whose raw E_dot the voltage clamp zeroes."""
+    up, down = raw[len(E):] > 0.0, raw[len(E):] < 0.0
+    return int(np.count_nonzero((E >= state.e_hi) & up | (E <= state.e_lo) & down))
 
 
 def frequency_of(theta_dot, omega0: float):

@@ -9,9 +9,9 @@ folded into the admittance as a shunt and Kron-eliminated, so its voltage
 is an exact linear function of the kept buses.  Only the remaining
 nonlinear buses are re-solved by Newton at every stage, with warm starts;
 without any, a stage is one injection evaluation and one call of the
-control law on flat ``[theta; E]`` vectors.  Scenario events reconfigure
-the operating condition between steps.  Traces are deterministic: fixed
-step, fixed iteration order, no wall-clock anywhere.
+control law, integrated on a flat ``[theta; E]`` work array.  Scenario
+events reconfigure the operating condition between steps.  Traces are
+deterministic: fixed step, fixed iteration order, no wall-clock anywhere.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .powerflow import (
     kron_reduce,
     solve_algebraic,
 )
-from .controller import ControlState, GainSet, control_derivative, frequency_of
+from .controller import ControlState, GainSet, clamp_count, control_derivative, frequency_of
 from .contingency import (
     COMM_LOSS,
     DER_LOSS,
@@ -395,16 +395,16 @@ class _Engine:
         self.stats["newton_iters"] += its
         return its
 
-    def control_law(self, P_act, Q_act, x_act, out=None, count=False):
+    def control_law(self, P_act, Q_act, E_act, out=None):
         """``control_derivative`` at the current condition, counted in the stats."""
         self.stats["derivative_evals"] += 1
-        return control_derivative(self.control, P_act, Q_act, x_act, out, count)
+        return control_derivative(self.control, P_act, Q_act, E_act, out)
 
     def derivative(self, out=None):
         """Control law on the reduced network's injections at the kept state."""
         n = self.n_act
         P, Q = injections_raw(self.Y_red, self.theta, self.E)
-        return self.control_law(P[:n], Q[:n], self.x[self.ia], out)
+        return self.control_law(P[:n], Q[:n], self.E[:n], out)[0]
 
     def _try_step(self, dt: float) -> int:
         x, ia, k = self.x, self.ia, self.k
@@ -515,8 +515,7 @@ def run_scenario(
         theta, E = eng.full()
         P, Q = injections_raw(Y, theta, E)
         act = eng.act
-        rates, n_clamp = eng.control_law(P[act], Q[act], np.concatenate((theta[act], E[act])),
-                                         count=True)
+        rates, raw = eng.control_law(P[act], Q[act], E[act])
         rec["t"][row] = t
         rec["theta"][row] = theta
         rec["E"][row] = E
@@ -524,7 +523,7 @@ def run_scenario(
         rec["Q"][row] = Q[inv_arr]
         rec["f"][row] = np.nan
         rec["f"][row, np.searchsorted(inv_arr, act)] = frequency_of(rates[: len(act)], case.omega0)
-        rec["clamp"][row] = n_clamp
+        rec["clamp"][row] = clamp_count(eng.control, raw, E[act])
         if len(lines_f):
             max_ang = np.abs(theta[lines_f] - theta[lines_t]).max()
             rec["angle"][row] = 1 if max_ang > case.gamma + 1e-12 else 0

@@ -8,6 +8,7 @@ import microgridctl as mg
 from microgridctl.controller import (
     ControlState,
     GainSet,
+    clamp_count,
     consensus_patterns,
     control_derivative,
     frequency_of,
@@ -33,9 +34,9 @@ def _law(state, S, E=None):
     Returns the rates as (m, 2) per-inverter (theta_dot, E_dot) rows and the clamp count.
     """
     m = len(S) // 2
-    x = np.concatenate((np.zeros(m), np.ones(m) if E is None else E))
-    rates, n_clamped = control_derivative(state, S[0::2], S[1::2], x, count=True)
-    return rates.reshape(2, m).T, n_clamped
+    E = np.ones(m) if E is None else E
+    rates, raw = control_derivative(state, S[0::2], S[1::2], E)
+    return rates.reshape(2, m).T, clamp_count(state, raw, E)
 
 
 def test_consensus_input_gives_exact_zero():
@@ -60,13 +61,11 @@ def test_control_state_follows_laplacian_order(case14, gains14):
     lap = laplacian(case14.comm_edges, [7, 0, 5])
     state = ControlState.of(case14, gains14, lap)
     assert lap.order == (0, 5, 7)
-    for k, i in enumerate(lap.order):  # each inverter's own-bus entries carry its own block
-        own = state.M[np.ix_([k, 3 + k], [k, 3 + k])]
-        bus = case14.buses[i]
-        assert np.array_equal(own, gains14.blocks[i] * lap.L[k, k] / [bus.P_star, bus.Q_star])
+    for k, i in enumerate(lap.order):  # each inverter's (theta_dot, E_dot) rows carry its block
+        assert np.array_equal(state.gain[np.ix_([k, 3 + k], [k, 3 + k])], gains14.blocks[i])
     assert np.array_equal(state.p_star, [case14.buses[i].P_star for i in (0, 5, 7)])
-    assert np.array_equal(state.x_hi[3:], [case14.buses[i].E_max for i in (0, 5, 7)])
-    assert np.array_equal(state.x_lo[3:], [case14.buses[i].E_min for i in (0, 5, 7)])
+    assert np.array_equal(state.e_hi, [case14.buses[i].E_max for i in (0, 5, 7)])
+    assert np.array_equal(state.e_lo, [case14.buses[i].E_min for i in (0, 5, 7)])
     with pytest.raises(ValidationError, match="no gain block"):
         ControlState.of(case14, GainSet(blocks={0: -np.eye(2)}), lap)
 
@@ -91,7 +90,7 @@ def _reference_law(case, gains, lap, P, Q, E):
     return xdot, n_clamped
 
 
-def test_fused_law_matches_reference_law(case14, gains14):
+def test_control_derivative_matches_reference_law(case14, gains14):
     """240 seeded states over four conditions, one of them a lone inverter.
 
     Voltages sit exactly on, just past or inside their bounds and injections reach
@@ -106,12 +105,12 @@ def test_fused_law_matches_reference_law(case14, gains14):
         lap = laps[trial % len(laps)]
         state = ControlState.of(case14, gains14, lap)
         m = len(lap.order)
-        lo, hi = state.x_lo[m:], state.x_hi[m:]
+        lo, hi = state.e_lo, state.e_hi
         P = rng.uniform(-20.0, 20.0, m) * state.p_star
         Q = rng.uniform(-20.0, 20.0, m) * state.q_star
         E = np.choose(rng.integers(5, size=m), [lo, hi, lo - 1e-3, hi + 1e-3, 0.5 * (lo + hi)])
-        rates, n_clamped = control_derivative(state, P, Q, np.r_[rng.uniform(-4, 4, m), E],
-                                              count=True)
+        rates, raw = control_derivative(state, P, Q, E)
+        n_clamped = clamp_count(state, raw, E)
         ref, n_ref = _reference_law(case14, gains14, lap, P, Q, E)
         assert np.abs(rates - np.r_[ref[0::2], ref[1::2]]).max() <= 1e-14
         assert n_clamped == n_ref
@@ -147,8 +146,7 @@ def test_saturation_idempotent(vals):
     limits = np.array([0.5, 0.05])
     assert np.array_equal(np.clip(xdot, -limits, limits), xdot)
     linear = -50.0 * (state.lap.L @ S.reshape(2, 2))
-    # the fused map rounds each gain-Laplacian product on its own: a few ulp of |linear| <= 1000
-    assert np.abs(xdot - np.clip(linear, -limits, limits)).max() <= 1e-12
+    assert np.array_equal(xdot, np.clip(linear, -limits, limits))
 
 
 def test_translation_invariance_of_injections(triangle_case):

@@ -364,8 +364,7 @@ def test_reduced_engine_matches_full_network(mixed_case):
         eng.resolve_algebraic()
         theta, E = eng.full()
         P, Q = injections_raw(Y, theta, E)
-        xdot = control_derivative(eng.control, P[eng.act], Q[eng.act],
-                                  np.r_[theta[eng.act], E[eng.act]])
+        xdot, _ = control_derivative(eng.control, P[eng.act], Q[eng.act], E[eng.act])
         assert np.abs(eng.derivative() - xdot).max() < 1e-12
         full.append(theta)
     assert np.abs(full[1] - full[0] - shift).max() < 1e-9
