@@ -18,10 +18,10 @@ both in ``hull_kind`` and ``zeta_mode``, and no other value is accepted.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .netmodel import (
     NetworkCase,
     ValidationError,
     bfs_tree,
+    build_admittance,
     case_to_json,
     laplacian,
 )
@@ -354,17 +355,28 @@ class IntervalHull:
     def block_positions(self, block_index: int) -> list[int]:
         """Interleaved row/col indices of a block inside the full J_I."""
         order = list(self.inverter_order)
-        idx = []
-        for i in self.blocks[block_index]:
-            p = order.index(i)
-            idx.extend([2 * p, 2 * p + 1])
-        return idx
+        return [2 * order.index(i) + r for i in self.blocks[block_index] for r in (0, 1)]
+
+    @cached_property
+    def vertex_lists(self) -> tuple[tuple[np.ndarray, ...], int]:
+        """Per-block vertex lists of the quadratic check and the size of the
+        full deduplicated product: the full lists when that product fits
+        VERTEX_BUDGET, else each list's samples attaining some entrywise
+        extreme (the block-level checks still sweep the complete lists)."""
+        per_block = [_dedup_stack(bb.D_stack) for bb in self.per_block]
+        n_product = int(np.prod([len(s) for s in per_block]))
+        if n_product > VERTEX_BUDGET:
+            per_block = [_attainer_subset(bb) for bb in self.per_block]
+            total = int(np.prod([len(s) for s in per_block]))
+            if total > VERTEX_BUDGET:
+                raise ValidationError(
+                    f"certification vertex product still has {total} matrices (> {VERTEX_BUDGET})"
+                )
+        return tuple(per_block), n_product
 
 
 def build_hull(case: NetworkCase, Y: AdmittanceMatrix | None = None) -> IntervalHull:
     """Compute per-block entry bounds and stack them into the full hull."""
-    from .netmodel import build_admittance
-
     if Y is None:
         Y = build_admittance(case)
     blocks = blocks_of(case)
@@ -397,48 +409,25 @@ def build_hull(case: NetworkCase, Y: AdmittanceMatrix | None = None) -> Interval
 class BlockFeasibility:
     passed: bool
     worst: float
-    worst_block: tuple[int, ...] | None
-    worst_vertex: int
-    per_block_worst: tuple[float, ...]
     d: float
-
-
-def _sym_eig_max(stack: np.ndarray) -> np.ndarray:
-    """lambda_max of each symmetric matrix in a (k, m, m) stack."""
-    return np.linalg.eigvalsh(stack)[:, -1]
 
 
 def block_eig_max(D_stack: np.ndarray, K_b: np.ndarray) -> np.ndarray:
     """lambda_max(D K_b + K_b^T D^T) for every vertex matrix D of a block."""
     H = np.einsum("kij,jl->kil", D_stack, K_b)
-    return _sym_eig_max(H + H.transpose(0, 2, 1))
+    return np.linalg.eigvalsh(H + H.transpose(0, 2, 1))[:, -1]
 
 
 def block_feasibility(gains: GainSet, hull: IntervalHull, d: float) -> BlockFeasibility:
     """Check lambda_max(D K_b + K_b^T D^T) <= -d on every block vertex.
 
     Negative definiteness with uniform margin d over every block hull is
-    what the later Schur/Lyapunov step consumes; the worst eigenvalue and
-    its attaining vertex are reported.
+    what the later Schur/Lyapunov step consumes; the worst eigenvalue over
+    all blocks is reported.
     """
-    worst = -math.inf
-    worst_block, worst_vertex = None, -1
-    per_block = []
-    for bi, blk in enumerate(hull.blocks):
-        eigs = block_eig_max(hull.per_block[bi].D_stack, gains.stacked(blk))
-        k_star = int(np.argmax(eigs))
-        per_block.append(float(eigs[k_star]))
-        if eigs[k_star] > worst:
-            worst = float(eigs[k_star])
-            worst_block, worst_vertex = blk, k_star
-    return BlockFeasibility(
-        passed=worst <= -d + EIG_TOL,
-        worst=worst,
-        worst_block=worst_block,
-        worst_vertex=worst_vertex,
-        per_block_worst=tuple(per_block),
-        d=d,
-    )
+    worst = max(float(block_eig_max(bb.D_stack, gains.stacked(blk)).max())
+                for blk, bb in zip(hull.blocks, hull.per_block))
+    return BlockFeasibility(passed=worst <= -d + EIG_TOL, worst=worst, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +451,16 @@ def _attainer_subset(bb: BlockBounds) -> np.ndarray:
 def certification_vertices(hull: IntervalHull) -> np.ndarray:
     """Global block-diagonal vertex matrices for the quadratic check.
 
-    The full cartesian product of per-block vertex lists when it fits
-    VERTEX_BUDGET; otherwise each block list is first reduced to the
-    samples that attain some entrywise extreme (the block-level checks
-    still sweep the complete lists).
+    One matrix per combination of the lists in ``hull.vertex_lists``, in
+    ``itertools.product`` order (the last block varies fastest).
     """
-    per_block = [_dedup_stack(bb.D_stack) for bb in hull.per_block]
-    total = int(np.prod([len(s) for s in per_block]))
-    if total > VERTEX_BUDGET:
-        per_block = [_attainer_subset(bb) for bb in hull.per_block]
-        total = int(np.prod([len(s) for s in per_block]))
-        if total > VERTEX_BUDGET:
-            raise ValidationError(
-                f"certification vertex product still has {total} matrices (> {VERTEX_BUDGET})"
-            )
+    per_block, _ = hull.vertex_lists
+    picks = np.indices([len(s) for s in per_block]).reshape(len(per_block), -1)
     n = 2 * len(hull.inverter_order)
-    out = np.zeros((total, n, n))
-    positions = [hull.block_positions(bi) for bi in range(len(hull.blocks))]
-    for k, combo in enumerate(itertools.product(*[range(len(s)) for s in per_block])):
-        for bi, vi in enumerate(combo):
-            ix = np.ix_([k], positions[bi], positions[bi])
-            out[ix] = per_block[bi][vi]
+    out = np.zeros((picks.shape[1], n, n))
+    for bi, vertices in enumerate(per_block):
+        pos = np.array(hull.block_positions(bi))
+        out[:, pos[:, None], pos] = vertices[picks[bi]]
     return out
 
 
@@ -608,8 +586,39 @@ def _margin_stack(A_stack, U, eps, xi, zeta, chunk=4096):
         M[:, :m, m:] = U
         M[:, m:, :m] = U
         M[:, m:, m:] = -eps * eye
-        out[s : s + chunk] = _sym_eig_max(M)
+        out[s : s + chunk] = np.linalg.eigvalsh(M)[:, -1]
     return out
+
+
+def _below(A_last, U, eps, xi, zeta, level):
+    """Vertices whose margin provably lies at least EIG_TOL below ``level``.
+
+    ``A_last`` holds the A11 vertices with the vertex index last, (m, m, n).
+    With s = eps + level, M - level I = S^T diag(N, -s I) S for
+    S = [[I, 0], [-U/s, I]] and N = A^T U + U A + (eps zeta^2 - level) I
+    + xi U + U^2/s.  If N <= -tau I then
+    lambda_max(M) <= level - min(tau, s) / (1 + ||U||_2 / s)^2, so with
+    tau = EIG_TOL (1 + ||U||_2 / s)^2 a vertex whose -N - tau I passes an
+    LDL^T (Cholesky) elimination lies at least EIG_TOL below ``level``;
+    when s <= tau nothing is flagged.  tau >= EIG_TOL dominates the
+    rounding of forming and factoring N (a small multiple of machine
+    epsilon times ||N||) by orders of magnitude whenever ||N|| << 1e6.
+    """
+    m, n = U.shape[0], A_last.shape[-1]
+    s = eps + level
+    tau = EIG_TOL * (1.0 + np.linalg.norm(U, 2) / s) ** 2 if s > 0.0 else math.inf
+    if s <= tau:
+        return np.zeros(n, dtype=bool)
+    UA = (U @ A_last.reshape(m, -1)).reshape(m, m, n)
+    B = UA + UA.transpose(1, 0, 2)  # N + tau I, vertex index last
+    B += ((eps * zeta ** 2 - level + tau) * np.eye(m) + xi * U + (U @ U) / s)[:, :, None]
+    ok = np.ones(n, dtype=bool)
+    for j in range(m):  # one elimination step for the whole stack; B must stay negative definite
+        pivot = B[j, j]
+        ok &= pivot < 0.0
+        col = B[j + 1 :, j] / np.where(ok, pivot, -1.0)
+        B[j + 1 :, j + 1 :] -= col[:, None, :] * B[j, None, j + 1 :]
+    return ok
 
 
 @dataclass(frozen=True)
@@ -620,12 +629,17 @@ class VerificationReport:
     worst_vertex: int
     tol: float
     n_vertices: int
+    n_product: int | None = None  # full per-block product size; None for supplied vertices
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        if self.n_product is None or self.n_product == self.n_vertices:
+            scope = f"{status}: {self.n_vertices} vertices"
+        else:
+            scope = f"{status} on {self.n_vertices}-vertex attainer subset of {self.n_product}"
         return (
-            f"{status}: {self.n_vertices} vertices, worst margin "
-            f"{self.worst:.3e} at vertex {self.worst_vertex} (tol {self.tol:.1e})"
+            f"{scope}, worst margin {self.worst:.3e} at vertex {self.worst_vertex} "
+            f"(tol {self.tol:.1e})"
         )
 
 
@@ -638,12 +652,17 @@ def verify_certificate(
 ) -> VerificationReport:
     """Re-check the certificate inequalities at every supplied hull vertex.
 
-    When no vertex matrices are given they are rebuilt from the case.  The
-    report carries per-vertex margins;
+    When no vertex matrices are given they are rebuilt from the case, and
+    the report names the size of the full per-block product next to the
+    number of vertices checked.  The report carries per-vertex margins;
     the certificate passes when every margin is at most ``tol``.
     """
+    n_product = None
     if vertex_matrices is None:
-        vertex_matrices = certification_vertices(build_hull(case))
+        hull = build_hull(case)
+        vertex_matrices = certification_vertices(hull)
+        n_product = hull.vertex_lists[1]
+        del hull  # its corner stacks would stay resident through the margin sweep
     lap = laplacian(case.comm_edges, case.inverter_ids)
     if not lap.connected:
         raise ValidationError("comm graph disconnected; certificate undefined")
@@ -662,6 +681,7 @@ def verify_certificate(
         worst_vertex=worst,
         tol=tol,
         n_vertices=len(margins),
+        n_product=n_product,
     )
 
 
@@ -692,8 +712,6 @@ def zeta_estimate(
     to the sharing space into the mixing term's magnitude; it is the
     conservative end of the available constants.
     """
-    from .netmodel import build_admittance
-
     if Y is None:
         Y = build_admittance(case)
     samples = list(sample_set)
@@ -942,45 +960,155 @@ def _schur_surrogate_eps(U: np.ndarray, zeta: float) -> float:
     return 10.0 ** log_eps
 
 
-def _cvxpy_or_none():
-    try:
-        import cvxpy
-    except ImportError:
-        return None
-    return cvxpy
+class _VertexScreen:
+    """Margin verdicts and the worst vertex over an A11 vertex stack, equal
+    to those of ``_margin_stack`` over the whole stack.  ``stats`` counts
+    the screens, the vertices they covered and the exact margins."""
+
+    def __init__(self, A_stack: np.ndarray):
+        self.A_stack = A_stack
+        self.A_last = np.ascontiguousarray(A_stack.transpose(1, 2, 0))  # _below's layout
+        self.every = np.arange(A_stack.shape[0])
+        self.last_worst = 0  # the previous worst vertex: the next refinement's first guess
+        self.stats = {"margin_stacks": 0, "screened_vertices": 0, "exact_margins": 0}
+
+    def survivors(self, idx, U, eps, xi, zeta, level):
+        """The vertices of ``idx`` the screen cannot put EIG_TOL below ``level``."""
+        self.stats["margin_stacks"] += 1
+        self.stats["screened_vertices"] += len(idx)
+        stack = self.A_last if idx is self.every else self.A_last[:, :, idx]
+        return idx[~_below(stack, U, eps, xi, zeta, level)]
+
+    def exact(self, idx, U, eps, xi, zeta):
+        """Margins of the vertices ``idx``, as ``_margin_stack`` gives them."""
+        self.stats["exact_margins"] += len(idx)
+        return _margin_stack(self.A_stack[idx], U, eps, xi, zeta)
+
+    def top_pair(self, k, U, eps, xi, zeta):
+        """Largest eigenpair of vertex k's quadratic-form matrix."""
+        self.stats["exact_margins"] += 1
+        A, eye = self.A_stack[k], np.eye(len(U))
+        TL = A.T @ U + U @ A + eps * zeta ** 2 * eye + xi * U
+        w, V = np.linalg.eigh(np.block([[TL, U], [U, -eps * eye]]))
+        return w[-1], V[:, -1]
+
+    def feasible(self, U, eps, xi, zeta) -> bool:
+        """Whether every vertex margin is nonpositive: screen at level 0,
+        then exact margins on the survivors, the first one alone."""
+        left = self.survivors(self.every, U, eps, xi, zeta, 0.0)
+        if not len(left):
+            return True
+        if self.exact(left[:1], U, eps, xi, zeta)[0] > 0.0:
+            return False
+        return bool(np.all(self.exact(left[1:], U, eps, xi, zeta) <= 0.0))
+
+    def worst_vertex(self, U, eps, xi, zeta):
+        """``np.argmax`` of the vertex margins, and the margin there.
+
+        Refined as in a quickselect: a guess vertex's largest eigenvalue is
+        the level that screens out every vertex below it, and the next
+        guess is the survivor with the largest Rayleigh quotient for the
+        best guess's top eigenvector, for at most 8 guesses or until at most
+        32 vertices survive.  No screened-out vertex can attain or tie the
+        maximum, so exact margins of the survivors, in index order, give the
+        same argmax as the whole stack.
+        """
+        m = U.shape[0]
+        alive, guessed = self.every, []
+        level, k = -math.inf, self.last_worst
+        for _ in range(8):
+            lam, vec = self.top_pair(k, U, eps, xi, zeta)
+            guessed.append(k)
+            if lam > level:
+                level, u_z = lam, vec[:m]
+                alive = self.survivors(alive, U, eps, xi, zeta, level)
+            fresh = np.setdiff1d(alive, guessed)
+            if len(alive) <= 32 or not len(fresh):
+                break
+            # only the A-dependent term of u^T M u varies across vertices
+            k = int(fresh[np.argmax((self.A_stack[fresh] @ u_z) @ (U @ u_z))])
+        margins = self.exact(alive, U, eps, xi, zeta)
+        j = int(np.argmax(margins))
+        self.last_worst = int(alive[j])
+        return self.last_worst, float(margins[j])
 
 
-def _lmi_max_slack(A_sub: np.ndarray, xi: float, zeta: float):
-    """Max-slack (U, eps) for the fixed-xi inequalities on a constraint subset.
+def _search_certificate(A_stack, candidates, zeta, u_steps, xi_resolution):
+    """Stage 2's search proper: (xi, U, eps) from the best candidate U,
+    the disturbance degree halved until one certifies, and the counters."""
+    m = A_stack.shape[1]
+    screen = _VertexScreen(A_stack)
 
-    With the gains fixed, xi and zeta fixed, the quadratic-form conditions
-    are linear in (U, eps): this is a plain semidefinite feasibility
-    problem handed to an off-the-shelf convex solver.
-    """
-    cp = _cvxpy_or_none()
-    if cp is None:
-        return None
-    m = A_sub.shape[1]
-    zz = zeta ** 2
-    eye = np.eye(m)
-    U = cp.Variable((m, m), symmetric=True)
-    eps = cp.Variable()
-    t = cp.Variable()
-    cons = [U >> 1e-8 * eye, U << eye, eps >= 1e-10]
-    for A in A_sub:
-        TL = A.T @ U + U @ A + (zz * eps) * eye + xi * U
-        M = cp.bmat([[TL, U], [U, -eps * eye]])
-        cons.append(M << -t * np.eye(2 * m))
-    prob = cp.Problem(cp.Maximize(t), cons)
-    for solver in ("CLARABEL", "SCS"):
-        try:
-            prob.solve(solver=solver)
-        except cp.error.SolverError:
-            continue
-        if prob.status in ("optimal", "optimal_inaccurate") and U.value is not None:
-            Uv = 0.5 * (np.array(U.value) + np.array(U.value).T)
-            return Uv, float(eps.value), float(t.value)
-    return None
+    def descend_U(U, eps, xi, z, budget):
+        """Eigenvalue-subgradient steps on the worst vertex margin w.r.t. U."""
+        for step_idx in range(budget):
+            k_star, worst = screen.worst_vertex(U, eps, xi, z)
+            if worst <= 0.0:
+                return U, True
+            _, u_vec = screen.top_pair(k_star, U, eps, xi, z)
+            u_z, u_w = u_vec[:m], u_vec[m:]
+            c = A_stack[k_star] @ u_z + u_w + 0.5 * xi * u_z
+            G = np.outer(c, u_z) + np.outer(u_z, c)
+            U = U - 0.5 / math.sqrt(step_idx + 1.0) / (np.abs(G).max() + 1e-30) * G
+            w_u, V_u = np.linalg.eigh(U)
+            w_u = np.maximum(w_u, 1e-8 * max(w_u[-1], 1e-12))
+            U = (V_u * w_u) @ V_u.T
+            U /= np.linalg.eigvalsh(U)[-1]
+            eps = _schur_surrogate_eps(U, z)
+        return U, screen.feasible(U, eps, xi, z)
+
+    def bisect_xi(U, eps, z):
+        """Largest feasible xi for fixed (U, eps), to the stated resolution."""
+        if not screen.feasible(U, eps, 1e-12, z):
+            return None
+        xi_lo, xi_hi = 1e-12, 1e-6
+        while screen.feasible(U, eps, xi_hi, z) and xi_hi < 1e6:
+            xi_lo = xi_hi
+            xi_hi *= 2.0
+        while xi_hi - xi_lo > xi_resolution:
+            mid = 0.5 * (xi_lo + xi_hi)
+            if screen.feasible(U, eps, mid, z):
+                xi_lo = mid
+            else:
+                xi_hi = mid
+        return xi_lo
+
+    def optimize(z):
+        """Alternate xi-bisection with U improvement at a raised xi target."""
+        best = None
+        for U0 in candidates:
+            U = U0.copy()
+            eps = _schur_surrogate_eps(U, z)
+            U, ok = descend_U(U, eps, 1e-12, z, u_steps)
+            if not ok:
+                continue
+            eps = _schur_surrogate_eps(U, z)
+            xi = bisect_xi(U, eps, z)
+            if xi is None:
+                continue
+            for _ in range(u_steps):
+                target = xi + max(0.05 * xi, 10.0 * xi_resolution)
+                U_try, ok = descend_U(U.copy(), eps, target, z, u_steps)
+                if not ok:
+                    break
+                eps_try = _schur_surrogate_eps(U_try, z)
+                xi_try = bisect_xi(U_try, eps_try, z)
+                if xi_try is None or xi_try <= xi + xi_resolution:
+                    break
+                U, eps, xi = U_try, eps_try, xi_try
+            if best is None or xi > best[0]:
+                best = (xi, U.copy(), eps)
+        return best
+
+    found = optimize(zeta)
+    halvings = 0
+    while found is None and halvings < 48:
+        zeta *= 0.5
+        halvings += 1
+        found = optimize(zeta)
+    if found is None:
+        raise SynthesisError("stage 2 found no certificate at any disturbance degree")
+    return (*found, zeta, {**screen.stats, "zeta_halvings": halvings})
 
 
 def certificate_for_gains(
@@ -991,22 +1119,30 @@ def certificate_for_gains(
     u_steps: int = 25,
     xi_resolution: float = 1e-6,
     samples=None,
-    method: str = "auto",
 ) -> StabilityCertificate:
     """Stage 2: search (U, eps, xi) certifying the given gains.
 
     U starts from simple positive-definite guesses (identity and the
-    reduced Laplacian) and is polished by eigenvalue-subgradient steps;
-    eps comes from a golden-section on the scalar Schur surrogate, xi from
-    upward bisection while the vertex margins stay nonpositive.  With the
-    gains fixed the per-xi subproblem is a plain LMI, so when a convex
-    solver is importable (``method="auto"``/``"lmi"``) the (U, eps) pair
-    is instead solved exactly per bisection step with constraint
-    generation, which lands the certificate at the joint optimum and
-    leaves no slack for a corrupted U to hide in.  When the estimated
-    disturbance degree is not certifiable the degree is bisected down and
-    the shortfall is recorded in the metadata.  Failure raises
-    SynthesisError; no certificate is ever returned unverified.
+    reduced Laplacian) and is polished by eigenvalue-subgradient steps on
+    the worst vertex margin; eps comes from a golden-section on the scalar
+    Schur surrogate, xi from upward bisection while the vertex margins
+    stay nonpositive.  When the estimated disturbance degree is not
+    certifiable the degree is bisected down and the shortfall is recorded
+    in the metadata.
+
+    The search needs only verdicts and the worst vertex, so each margin
+    sweep screens the vertices first (``_below``: with s = eps + level and
+    tau = EIG_TOL (1 + ||U||_2 / s)^2, a Cholesky elimination of -N - tau I,
+    N the half-order Schur complement, proves the margin at most
+    level - EIG_TOL; nothing is cleared when s <= tau) and takes exact
+    margins only where the screen proves nothing (``_VertexScreen``), so the
+    certificate is the one exact margins over every vertex give.
+    ``meta["stats"]`` counts screens, screened vertices, exact margins and
+    disturbance-degree halvings.
+
+    Failure raises SynthesisError; no certificate is ever returned
+    unverified: the result is re-checked with exact margins at every
+    vertex.
     """
     if hull is None:
         hull = build_hull(case)
@@ -1038,148 +1174,8 @@ def certificate_for_gains(
 
     Lbar1 = reduced_laplacian(Lbar, basis)
     candidates = [np.eye(m), Lbar1 / np.linalg.eigvalsh(Lbar1)[-1]]
-
-    def worst_margin(U, eps, xi, z):
-        return float(np.max(_margin_stack(A_stack, U, eps, xi, z)))
-
-    def descend_U(U, eps, xi, z, budget):
-        """Eigenvalue-subgradient steps on the worst vertex margin w.r.t. U."""
-        zz = z ** 2
-        for step_idx in range(budget):
-            margins = _margin_stack(A_stack, U, eps, xi, z)
-            k_star = int(np.argmax(margins))
-            if margins[k_star] <= 0.0:
-                return U, True
-            A = A_stack[k_star]
-            TL = A.T @ U + U @ A + eps * zz * np.eye(m) + xi * U
-            M = np.block([[TL, U], [U, -eps * np.eye(m)]])
-            _, V = np.linalg.eigh(M)
-            u_vec = V[:, -1]
-            u_z, u_w = u_vec[:m], u_vec[m:]
-            c = A @ u_z + u_w + 0.5 * xi * u_z
-            G = np.outer(c, u_z) + np.outer(u_z, c)
-            U = U - 0.5 / math.sqrt(step_idx + 1.0) / (np.abs(G).max() + 1e-30) * G
-            w_u, V_u = np.linalg.eigh(U)
-            w_u = np.maximum(w_u, 1e-8 * max(w_u[-1], 1e-12))
-            U = (V_u * w_u) @ V_u.T
-            U /= np.linalg.eigvalsh(U)[-1]
-            eps = _schur_surrogate_eps(U, z)
-        margins = _margin_stack(A_stack, U, eps, xi, z)
-        return U, bool(np.max(margins) <= 0.0)
-
-    def bisect_xi(U, eps, z):
-        """Largest feasible xi for fixed (U, eps), to the stated resolution."""
-        if worst_margin(U, eps, 1e-12, z) > 0.0:
-            return None
-        xi_lo, xi_hi = 1e-12, 1e-6
-        while worst_margin(U, eps, xi_hi, z) <= 0.0 and xi_hi < 1e6:
-            xi_lo = xi_hi
-            xi_hi *= 2.0
-        while xi_hi - xi_lo > xi_resolution:
-            mid = 0.5 * (xi_lo + xi_hi)
-            if worst_margin(U, eps, mid, z) <= 0.0:
-                xi_lo = mid
-            else:
-                xi_hi = mid
-        return xi_lo
-
-    def optimize_subgradient(z):
-        """Alternate xi-bisection with U improvement at a raised xi target."""
-        best = None
-        for U0 in candidates:
-            U = U0.copy()
-            eps = _schur_surrogate_eps(U, z)
-            U, ok = descend_U(U, eps, 1e-12, z, u_steps)
-            if not ok:
-                continue
-            eps = _schur_surrogate_eps(U, z)
-            xi = bisect_xi(U, eps, z)
-            if xi is None:
-                continue
-            for _ in range(u_steps):
-                target = xi + max(0.05 * xi, 10.0 * xi_resolution)
-                U_try, ok = descend_U(U.copy(), eps, target, z, u_steps)
-                if not ok:
-                    break
-                eps_try = _schur_surrogate_eps(U_try, z)
-                xi_try = bisect_xi(U_try, eps_try, z)
-                if xi_try is None or xi_try <= xi + xi_resolution:
-                    break
-                U, eps, xi = U_try, eps_try, xi_try
-            if best is None or xi > best[0]:
-                best = (xi, U.copy(), eps)
-        return best
-
-    active: list[int] = []
-
-    def lmi_feasible(z, xi):
-        """Exact max-slack solve at fixed xi via constraint generation."""
-        nonlocal active
-        if not active:
-            margins0 = _margin_stack(A_stack, candidates[0], 1.0, xi, z)
-            active = list(np.argsort(margins0)[-min(48, len(margins0)):])
-        for _ in range(24):
-            res = _lmi_max_slack(A_stack[active], xi, z)
-            if res is None:
-                return None
-            U, eps, t = res
-            if t <= 1e-12 or eps <= 0.0 or np.linalg.eigvalsh(U)[0] <= 0.0:
-                return None
-            margins = _margin_stack(A_stack, U, eps, xi, z)
-            worst = float(margins.max())
-            if worst <= -0.5 * t or (worst <= 0.0 and t <= 1e-9):
-                return U, eps, t
-            new = [int(k) for k in np.argsort(margins)[-16:] if k not in active]
-            if not new:
-                return (U, eps, t) if worst <= 0.0 else None
-            active.extend(new)
-        return None
-
-    def optimize_lmi(z):
-        """Bisect xi with the per-xi LMI subproblem solved exactly."""
-        nonlocal active
-        active = []
-        sol = lmi_feasible(z, 1e-9)
-        if sol is None:
-            return None
-        best = (1e-9,) + sol
-        xi_lo, xi_hi = 1e-9, 1e-3
-        while True:
-            trial = lmi_feasible(z, xi_hi)
-            if trial is None:
-                break
-            best = (xi_hi,) + trial
-            xi_lo = xi_hi
-            xi_hi *= 2.0
-            if xi_hi > 1e6:
-                break
-        while xi_hi - xi_lo > xi_resolution:
-            mid = 0.5 * (xi_lo + xi_hi)
-            trial = lmi_feasible(z, mid)
-            if trial is None:
-                xi_hi = mid
-            else:
-                best = (mid,) + trial
-                xi_lo = mid
-        xi, U, eps, _ = best
-        return xi, U, eps
-
-    if method == "auto":
-        method = "lmi" if _cvxpy_or_none() is not None else "subgradient"
-    if method not in ("lmi", "subgradient"):
-        raise ValidationError(f"unknown certificate search method {method!r}")
-    optimize_at = optimize_lmi if method == "lmi" else optimize_subgradient
-
-    found = optimize_at(zeta_requested)
-    z_used = zeta_requested
-    halvings = 0
-    while found is None and halvings < 48:
-        z_used *= 0.5
-        halvings += 1
-        found = optimize_at(z_used)
-    if found is None:
-        raise SynthesisError("stage 2 found no certificate at any disturbance degree")
-    xi, U, eps = found
+    xi, U, eps, z_used, stats = _search_certificate(A_stack, candidates, zeta_requested,
+                                                    u_steps, xi_resolution)
 
     cert = StabilityCertificate(
         U=U,
@@ -1193,7 +1189,8 @@ def certificate_for_gains(
             "zeta_shortfall": z_used < zeta_requested,
             "n_vertices": int(A_stack.shape[0]),
             "block_worst_eig": feas.worst,
-            "search_method": method,
+            "search_method": "subgradient",
+            "stats": stats,
         },
     )
     report = verify_certificate(case, gains, cert, vertex_matrices=vmats)

@@ -118,6 +118,8 @@ def _cmd_certify(args) -> int:
     print(f"synthesized certificate: xi={cert.xi:.6g} eps={cert.eps:.6g} "
           f"zeta={cert.zeta:.6g} (requested {cert.meta.get('zeta_requested', float('nan')):.6g})")
     print(f"verification: {report.format()}")
+    if args.stats:
+        print(json.dumps(cert.meta["stats"], sort_keys=True))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(certificate_to_json(cert) + "\n")
@@ -133,6 +135,8 @@ def _cmd_synthesize(args) -> int:
     print(f"gains synthesized; block margin d = {cert.d:.6g}, xi = {cert.xi:.6g}, "
           f"zeta = {cert.zeta:.6g}")
     print(f"verification: {report.format()}")
+    if args.stats:
+        print(json.dumps(cert.meta["stats"], sort_keys=True))
     if args.out:
         gains_path = args.out + ".gains.json"
         cert_path = args.out + ".cert.json"
@@ -185,11 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("gains")
     c.add_argument("--cert", help="stored certificate to verify")
     c.add_argument("--out", help="write the searched certificate here")
+    c.add_argument("--stats", action="store_true", help="print the search counters as one JSON line")
     c.set_defaults(fn=_cmd_certify)
 
     c = sub.add_parser("synthesize", help="synthesize gains plus a certificate")
     c.add_argument("case")
     c.add_argument("--out", help="output prefix for .gains.json / .cert.json")
+    c.add_argument("--stats", action="store_true", help="print the search counters as one JSON line")
     c.set_defaults(fn=_cmd_synthesize)
 
     c = sub.add_parser("simulate", help="run a scenario and write the trace CSV")

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 
@@ -11,11 +13,14 @@ from microgridctl import data as bundled
 from microgridctl.certify import (
     BlockBounds,
     CapacityBox,
+    EIG_TOL,
     CertificateError,
     IntervalHull,
     MAX_CORNER_COMBOS,
     StabilityCertificate,
     SynthesisError,
+    _VertexScreen,
+    _below,
     _margin_stack,
     block_feasibility,
     blocks_of,
@@ -28,6 +33,7 @@ from microgridctl.certify import (
     entry_bounds,
     hypothesis_violations,
     parse_certificate,
+    reduced_closed_loop,
     reduced_laplacian,
     sample_interior_profiles,
     stage1_gains,
@@ -325,6 +331,131 @@ def test_certification_vertices_block_structure(hull14):
     D0 = hull14.per_block[0].D_stack
     sample = vmats[0][np.ix_(idx0, idx0)]
     assert any(np.array_equal(sample, D) for D in D0)
+
+
+def test_certification_vertices_match_product_loop(hull14):
+    """One fancy-indexed write per block assembles the itertools.product order."""
+    vmats = certification_vertices(hull14)
+    per_block, _ = hull14.vertex_lists
+    ref = np.zeros_like(vmats)
+    positions = [hull14.block_positions(bi) for bi in range(len(hull14.blocks))]
+    for k, combo in enumerate(itertools.product(*[range(len(s)) for s in per_block])):
+        for bi, vi in enumerate(combo):
+            ref[np.ix_([k], positions[bi], positions[bi])] = per_block[bi][vi]
+    assert vmats.tobytes() == ref.tobytes()
+
+
+def test_report_names_attainer_subset_coverage(case14, gains14_synth, cert14, hull14):
+    built = verify_certificate(case14, gains14_synth, cert14)
+    assert built.n_vertices == 2176 and built.n_product == 7200 * 2592 * 12
+    assert built.format().startswith("PASS on 2176-vertex attainer subset of 223948800, ")
+    supplied = verify_certificate(case14, gains14_synth, cert14,
+                                  vertex_matrices=certification_vertices(hull14))
+    assert supplied.n_product is None
+    assert supplied.format().startswith("PASS: 2176 vertices, ")
+    assert np.array_equal(built.margins, supplied.margins)
+
+
+# -- screened margin sweeps ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def A14(case14, gains14_synth, hull14):
+    """The A11 vertex stack of the case14 attainer subset under gains14_synth."""
+    lap = laplacian(case14.comm_edges, case14.inverter_ids)
+    return reduced_closed_loop(certification_vertices(hull14),
+                               gains14_synth.stacked(case14.inverter_ids), lap.kron2(),
+                               build_basis(case14.n_inverters))
+
+
+def _seeded_form(seed, cert):
+    """(U, eps, xi, zeta): even seeds perturb the bundled certificate, so some
+    vertices violate; odd seeds draw U at random."""
+    rng = np.random.default_rng(seed)
+    m = cert.U.shape[0]
+    Q = rng.standard_normal((m, m))
+    U = np.asarray(cert.U) + 0.05 * (Q + Q.T) if seed % 2 == 0 else Q @ Q.T / m
+    U += max(0.0, 1e-2 - np.linalg.eigvalsh(U)[0]) * np.eye(m)
+    U /= np.linalg.eigvalsh(U)[-1]
+    return (U, cert.eps * rng.uniform(0.5, 2.0), cert.xi * rng.uniform(0.0, 3.0),
+            cert.zeta * rng.uniform(0.5, 2.0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_screen_flags_only_vertices_below_level(A14, cert14, seed):
+    U, eps, xi, zeta = _seeded_form(seed, cert14)
+    A_last = np.moveaxis(A14, 0, -1)
+    margins = _margin_stack(A14, U, eps, xi, zeta)
+    ranked = np.sort(margins)
+    levels = [0.0] + [ranked[int(q * (len(ranked) - 1))] for q in (0.1, 0.5, 0.9, 1.0)]
+    flagged = 0
+    for level in levels:
+        flags = _below(A_last, U, eps, xi, zeta, level)
+        assert np.all(margins[flags] <= level - EIG_TOL)
+        flagged += int(flags.sum())
+    assert flagged > 0
+    assert _below(A_last, U, eps, xi, zeta, margins.max() + 1e-6).all()
+
+
+def test_screen_proves_nothing_when_eps_plus_level_is_small(A14, cert14):
+    A_last = np.moveaxis(A14, 0, -1)
+    U = np.asarray(cert14.U)
+    assert not _below(A_last, U, 1.0, cert14.xi, cert14.zeta, -1.0).any()
+    assert not _below(A_last, U, 1.0, cert14.xi, cert14.zeta, -1.0 + 1e-10).any()
+
+
+def test_worst_vertex_and_verdict_match_full_sweep(A14, cert14):
+    """The refined argmax is np.argmax over all margins, ties included."""
+    verdicts = set()
+    forms = [(np.asarray(cert14.U), cert14.eps, cert14.xi, cert14.zeta)]
+    forms += [_seeded_form(seed, cert14) for seed in range(8)]
+    for i, (U, eps, xi, zeta) in enumerate(forms):
+        k0 = int(np.argmax(_margin_stack(A14, U, eps, xi, zeta)))
+        stack = np.concatenate([A14[[k0]], A14, A14[[k0]]])  # the maximum three times
+        margins = _margin_stack(stack, U, eps, xi, zeta)
+        screen = _VertexScreen(stack)
+        screen.last_worst = (37 * i) % len(stack)
+        k, worst = screen.worst_vertex(U, eps, xi, zeta)
+        assert k == int(np.argmax(margins)) == 0
+        assert worst == margins.max()
+        assert screen.feasible(U, eps, xi, zeta) == bool(margins.max() <= 0.0)
+        assert screen.stats["exact_margins"] < len(stack)
+        verdicts.add(bool(margins.max() <= 0.0))
+    assert verdicts == {True, False}
+
+
+def test_feasible_checks_every_survivor(A14, cert14):
+    """A vertex just at margin 0 survives the screen ahead of a violating one;
+    the verdict must still see the violation."""
+    U, eps, zeta = np.asarray(cert14.U), cert14.eps, cert14.zeta
+    j = int(np.argsort(_margin_stack(A14, U, eps, cert14.xi, zeta))[len(A14) // 2])
+    lo, hi = cert14.xi, 1e3  # margins rise with xi: put vertex j's margin just below 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _margin_stack(A14[[j]], U, eps, mid, zeta)[0] <= 0.0 else (lo, mid)
+    margins = _margin_stack(A14, U, eps, lo, zeta)
+    k = int(np.argmax(margins))
+    assert -1e-12 < margins[j] <= 0.0 < margins[k]
+    screen = _VertexScreen(A14[[j, k]])
+    assert screen.feasible(U, eps, lo, zeta) is False
+    assert screen.stats["exact_margins"] == 2
+
+
+def test_search_certificate_is_frozen(case14, gains14_synth, hull14):
+    """The screened search returns, bit for bit, the certificate that exact
+    margins at every vertex gave (values recorded before the screen)."""
+    cert = certificate_for_gains(case14, gains14_synth, hull14, u_steps=5)
+    assert hashlib.sha256(cert.U.tobytes()).hexdigest() == (
+        "b405dde8f156e62be7c427ea26344a501876284c7475da647940bec8e45885e8")
+    assert float(cert.eps).hex() == "0x1.1abb97a6c386ep+2"
+    assert float(cert.xi).hex() == "0x1.197b7414a4d2cp-2"
+    assert float(cert.zeta).hex() == "0x1.cf96f58bf6066p-3"
+    assert float(cert.d).hex() == "0x1.a88370d6cefc7p-3"
+    assert cert.meta["search_method"] == "subgradient"
+    stats = cert.meta["stats"]
+    assert set(stats) == {"margin_stacks", "screened_vertices", "exact_margins", "zeta_halvings"}
+    assert stats["zeta_halvings"] == 10
+    assert 0 < stats["exact_margins"] < stats["screened_vertices"]
 
 
 # -- synthesis ----------------------------------------------------------------------

@@ -6,9 +6,11 @@ import numpy as np
 
 from microgridctl.cli import main
 from microgridctl.certify import certificate_to_json
+from microgridctl.netmodel import case_to_json
 from microgridctl import data as bundled
 
-from conftest import MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS
+from conftest import (MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS, inverter, line, make_case,
+                      z_load)
 
 
 CASE = str(bundled.data_path(bundled.CASE14))
@@ -164,3 +166,28 @@ def test_simulate_stats_prints_run_counters(tmp_path, capsys):
     # 20 RK4 steps of 4 stages, plus one law evaluation per recorded row (t = 0, 0.02, ..., 0.1)
     assert stats == {"derivative_evals": 86, "dt_halvings": 0, "eliminated_buses": [9, 10],
                      "newton_iters": 0, "start": "equilibrium", "start_fallback": None}
+
+
+def _json_lines(text):
+    return [json.loads(ln) for ln in text.splitlines() if ln.startswith("{")]
+
+
+def test_synthesize_and_certify_stats_print_search_counters(tmp_path, capsys):
+    pair = make_case([inverter(0, P=1.0, Q=0.5), inverter(1, P=0.5, Q=0.25),
+                      z_load(2, G=0.4, B=0.15)],
+                     [line(0, 2, R=0.03, X=0.12), line(1, 2, R=0.04, X=0.15)], [[0, 1]])
+    case = tmp_path / "pair.json"
+    case.write_text(case_to_json(pair))
+    prefix = str(tmp_path / "pair")
+    assert main(["synthesize", str(case), "--stats", "--out", prefix]) == 0
+    out = capsys.readouterr().out
+    assert "PASS: 400 vertices, " in out  # the full product fits: no subset wording
+    [stats] = _json_lines(out)
+    assert set(stats) == {"margin_stacks", "screened_vertices", "exact_margins", "zeta_halvings"}
+    cert = json.loads((tmp_path / "pair.cert.json").read_text())
+    assert cert["meta"]["stats"] == stats
+    # the same gains give the same search, counted the same
+    assert main(["certify", str(case), prefix + ".gains.json", "--stats"]) == 0
+    assert _json_lines(capsys.readouterr().out) == [stats]
+    assert main(["certify", str(case), prefix + ".gains.json"]) == 0
+    assert _json_lines(capsys.readouterr().out) == []
