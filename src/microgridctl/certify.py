@@ -43,6 +43,12 @@ HULL_JBAR = "jbar"  # the one hull kind: Jacobian evaluations at corner profiles
 ZETA_SQUARED = "squared"  # multiplier enters as eps * zeta^2 (S-procedure on norms)
 VERTEX_BUDGET = 200_000  # largest global vertex product checked in full
 MAX_CORNER_COMBOS = 2_000_000  # largest per-block corner enumeration
+MARGIN_CHUNK = 4096  # vertices per batched eigen-solve in _margin_stack
+XI_RESOLUTION = 1e-6  # stage 2 bisects xi to this width
+ZETA_SAMPLES, ZETA_SEED = 64, 2024  # interior profiles (plus flat) behind stage 2's zeta estimate
+STAGE1_MIN_MARGIN = 1e-8  # block margin stage 1 must reach
+RATE_SWEEPS = 8  # subgradient projections per gain row onto its rate slab
+CAPACITY_MARGIN = 2.0  # default capacity box: [0, 2 P*] x [0, 2 Q*] per inverter
 
 
 class SynthesisError(RuntimeError):
@@ -572,21 +578,21 @@ def reduced_closed_loop(D_stack: np.ndarray, K: np.ndarray, Lbar: np.ndarray,
     return np.einsum("ji,kjl,lm->kim", basis.T1, D_stack, R, optimize=True)
 
 
-def _margin_stack(A_stack, U, eps, xi, zeta, chunk=4096):
+def _margin_stack(A_stack, U, eps, xi, zeta):
     """Worst-margin lambda_max of the quadratic-form matrix per vertex."""
     m = U.shape[0]
     zz = zeta ** 2
     out = np.empty(A_stack.shape[0])
     eye = np.eye(m)
-    for s in range(0, A_stack.shape[0], chunk):
-        A = A_stack[s : s + chunk]
+    for s in range(0, A_stack.shape[0], MARGIN_CHUNK):
+        A = A_stack[s : s + MARGIN_CHUNK]
         TL = A.transpose(0, 2, 1) @ U + U @ A + (eps * zz) * eye + xi * U
         M = np.empty((A.shape[0], 2 * m, 2 * m))
         M[:, :m, :m] = TL
         M[:, :m, m:] = U
         M[:, m:, :m] = U
         M[:, m:, m:] = -eps * eye
-        out[s : s + chunk] = np.linalg.eigvalsh(M)[:, -1]
+        out[s : s + MARGIN_CHUNK] = np.linalg.eigvalsh(M)[:, -1]
     return out
 
 
@@ -648,14 +654,13 @@ def verify_certificate(
     gains: GainSet,
     cert: StabilityCertificate,
     vertex_matrices: np.ndarray | None = None,
-    tol: float = EIG_TOL,
 ) -> VerificationReport:
     """Re-check the certificate inequalities at every supplied hull vertex.
 
     When no vertex matrices are given they are rebuilt from the case, and
     the report names the size of the full per-block product next to the
     number of vertices checked.  The report carries per-vertex margins;
-    the certificate passes when every margin is at most ``tol``.
+    the certificate passes when every margin is at most ``EIG_TOL``.
     """
     n_product = None
     if vertex_matrices is None:
@@ -675,11 +680,11 @@ def verify_certificate(
     margins = _margin_stack(A_stack, cert.U, cert.eps, cert.xi, cert.zeta)
     worst = int(np.argmax(margins))
     return VerificationReport(
-        passed=bool(margins[worst] <= tol),
+        passed=bool(margins[worst] <= EIG_TOL),
         margins=margins,
         worst=float(margins[worst]),
         worst_vertex=worst,
-        tol=tol,
+        tol=EIG_TOL,
         n_vertices=len(margins),
         n_product=n_product,
     )
@@ -703,8 +708,6 @@ def zeta_estimate(
     case: NetworkCase,
     gains: GainSet,
     sample_set,
-    Y: AdmittanceMatrix | None = None,
-    kappa: float | None = None,
 ) -> ZetaEstimate:
     """Conservative disturbance degree: kappa * max ||J_L|| * ||K|| * sigma_max(Lbar).
 
@@ -712,11 +715,9 @@ def zeta_estimate(
     to the sharing space into the mixing term's magnitude; it is the
     conservative end of the available constants.
     """
-    if Y is None:
-        Y = build_admittance(case)
+    Y = build_admittance(case)
     samples = list(sample_set)
-    if kappa is None:
-        kappa = kappa_bound(case, Y, samples).kappa
+    kappa = kappa_bound(case, Y, samples).kappa
     max_jl = 0.0
     if case.load_ids:
         for x in samples:
@@ -749,14 +750,14 @@ class CapacityBox:
     Q_max: np.ndarray
 
     @staticmethod
-    def default_from_case(case: NetworkCase, margin: float = 2.0) -> "CapacityBox":
+    def default_from_case(case: NetworkCase) -> "CapacityBox":
         p = case.p_star()
         q = case.q_star()
         return CapacityBox(
-            P_min=np.minimum(0.0, margin * p),
-            P_max=np.maximum(0.0, margin * p),
-            Q_min=np.minimum(0.0, margin * q),
-            Q_max=np.maximum(0.0, margin * q),
+            P_min=np.minimum(0.0, CAPACITY_MARGIN * p),
+            P_max=np.maximum(0.0, CAPACITY_MARGIN * p),
+            Q_min=np.minimum(0.0, CAPACITY_MARGIN * q),
+            Q_max=np.maximum(0.0, CAPACITY_MARGIN * q),
         )
 
     def normalized_box(self, case: NetworkCase):
@@ -800,8 +801,9 @@ def rate_constraint_excess(gains: GainSet, case: NetworkCase, box: CapacityBox) 
 
 
 def _project_rate_rows(K_blocks: dict[int, np.ndarray], case: NetworkCase,
-                       gains_limits, box: CapacityBox, only=None, sweeps: int = 8):
-    """Cyclic projection of gain rows onto their rate slab constraints.
+                       gains_limits, box: CapacityBox, only):
+    """Cyclic projection of the gain rows of the inverters ``only`` onto
+    their rate slab constraints.
 
     Each constraint is |<k_row, c(s-functional)>| <= bound over the
     capacity box; slabs are symmetric so the zero row is always feasible.
@@ -811,7 +813,7 @@ def _project_rate_rows(K_blocks: dict[int, np.ndarray], case: NetworkCase,
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     lap = laplacian(case.comm_edges, case.inverter_ids)
     for k, i in enumerate(lap.order):
-        if only is not None and i not in only:
+        if i not in only:
             continue
         Lrow = lap.L[k]
         m = len(lap.order)
@@ -820,7 +822,7 @@ def _project_rate_rows(K_blocks: dict[int, np.ndarray], case: NetworkCase,
         base[1, 1::2] = Lrow
         for r, bound in ((0, theta_max), (1, e_max)):
             row = K_blocks[i][r].copy()
-            for _ in range(sweeps):
+            for _ in range(RATE_SWEEPS):
                 c = row[0] * base[0] + row[1] * base[1]
                 center = c @ mid
                 spread = np.abs(c) @ half
@@ -898,7 +900,6 @@ def stage1_gains(
     rate_limits: tuple[float, float],
     box: CapacityBox,
     iters: int = 300,
-    min_margin: float = 1e-8,
 ) -> GainSet:
     """Subgradient descent on the per-block spectral abscissa.
 
@@ -923,7 +924,7 @@ def stage1_gains(
             theta_dot_max=theta_max,
             E_dot_max=e_max,
         )
-    feas = block_feasibility(gains, hull, d=min_margin)
+    feas = block_feasibility(gains, hull, d=STAGE1_MIN_MARGIN)
     if not feas.passed:
         raise SynthesisError(
             f"stage 1 found no definite gain direction (worst eigenvalue {feas.worst:.3e})"
@@ -1033,7 +1034,7 @@ class _VertexScreen:
         return self.last_worst, float(margins[j])
 
 
-def _search_certificate(A_stack, candidates, zeta, u_steps, xi_resolution):
+def _search_certificate(A_stack, candidates, zeta, u_steps):
     """Stage 2's search proper: (xi, U, eps) from the best candidate U,
     the disturbance degree halved until one certifies, and the counters."""
     m = A_stack.shape[1]
@@ -1065,7 +1066,7 @@ def _search_certificate(A_stack, candidates, zeta, u_steps, xi_resolution):
         while screen.feasible(U, eps, xi_hi, z) and xi_hi < 1e6:
             xi_lo = xi_hi
             xi_hi *= 2.0
-        while xi_hi - xi_lo > xi_resolution:
+        while xi_hi - xi_lo > XI_RESOLUTION:
             mid = 0.5 * (xi_lo + xi_hi)
             if screen.feasible(U, eps, mid, z):
                 xi_lo = mid
@@ -1087,13 +1088,13 @@ def _search_certificate(A_stack, candidates, zeta, u_steps, xi_resolution):
             if xi is None:
                 continue
             for _ in range(u_steps):
-                target = xi + max(0.05 * xi, 10.0 * xi_resolution)
+                target = xi + max(0.05 * xi, 10.0 * XI_RESOLUTION)
                 U_try, ok = descend_U(U.copy(), eps, target, z, u_steps)
                 if not ok:
                     break
                 eps_try = _schur_surrogate_eps(U_try, z)
                 xi_try = bisect_xi(U_try, eps_try, z)
-                if xi_try is None or xi_try <= xi + xi_resolution:
+                if xi_try is None or xi_try <= xi + XI_RESOLUTION:
                     break
                 U, eps, xi = U_try, eps_try, xi_try
             if best is None or xi > best[0]:
@@ -1117,8 +1118,6 @@ def certificate_for_gains(
     hull: IntervalHull | None = None,
     zeta: float | None = None,
     u_steps: int = 25,
-    xi_resolution: float = 1e-6,
-    samples=None,
 ) -> StabilityCertificate:
     """Stage 2: search (U, eps, xi) certifying the given gains.
 
@@ -1159,9 +1158,8 @@ def certificate_for_gains(
     d_margin = -feas.worst
 
     if zeta is None:
-        if samples is None:
-            samples = sample_interior_profiles(case, 64, seed=2024)
-            samples.append(VoltageProfile.flat(case.n))
+        samples = sample_interior_profiles(case, ZETA_SAMPLES, seed=ZETA_SEED)
+        samples.append(VoltageProfile.flat(case.n))
         zeta = zeta_estimate(case, gains, samples).zeta
     zeta_requested = max(zeta, 1e-12)
 
@@ -1174,8 +1172,7 @@ def certificate_for_gains(
 
     Lbar1 = reduced_laplacian(Lbar, basis)
     candidates = [np.eye(m), Lbar1 / np.linalg.eigvalsh(Lbar1)[-1]]
-    xi, U, eps, z_used, stats = _search_certificate(A_stack, candidates, zeta_requested,
-                                                    u_steps, xi_resolution)
+    xi, U, eps, z_used, stats = _search_certificate(A_stack, candidates, zeta_requested, u_steps)
 
     cert = StabilityCertificate(
         U=U,
@@ -1204,9 +1201,6 @@ def certificate_for_gains(
 def synthesize_gains(
     case: NetworkCase,
     hull: IntervalHull | None = None,
-    rate_limits: tuple[float, float] | None = None,
-    capacity: CapacityBox | None = None,
-    zeta: float | None = None,
     stage1_iters: int = 400,
 ) -> tuple[GainSet, StabilityCertificate]:
     """Full two-stage synthesis: gains via per-block subgradient descent,
@@ -1216,10 +1210,8 @@ def synthesize_gains(
 
     if hull is None:
         hull = build_hull(case)
-    if rate_limits is None:
-        rate_limits = (DEFAULT_THETA_DOT_MAX, DEFAULT_E_DOT_MAX)
-    if capacity is None:
-        capacity = CapacityBox.default_from_case(case)
-    gains = stage1_gains(case, hull, rate_limits, capacity, iters=stage1_iters)
-    cert = certificate_for_gains(case, gains, hull, zeta=zeta)
+    rate_limits = (DEFAULT_THETA_DOT_MAX, DEFAULT_E_DOT_MAX)
+    gains = stage1_gains(case, hull, rate_limits, CapacityBox.default_from_case(case),
+                         iters=stage1_iters)
+    cert = certificate_for_gains(case, gains, hull)
     return gains, cert

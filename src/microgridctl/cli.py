@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: check-case, bounds, certify, synthesize, simulate, metrics.
-Exit codes: 0 ok, 1 validation problem, 2 numerical failure, 3 certificate
-rejection.
+Exit codes: 0 ok, 1 unreadable, malformed or invalid input, 2 numerical
+failure, 3 certificate rejection.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .netmodel import CaseError, ValidationError, build_admittance, load_case
+from .netmodel import CaseError, ParseError, ValidationError, build_admittance, load_case
 from .powerflow import NewtonError, check_existence
 from .controller import gains_to_json, load_gains
 from .certify import (
@@ -44,16 +44,24 @@ EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
 
 
+def _read_ranges(path) -> dict:
+    """``{"P": {bus: (lo, hi)}, "Q": {...}}`` from a JSON file; ParseError if malformed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        raw = json.loads(text)
+        ranges = {kind: {int(k): (float(lo), float(hi)) for k, (lo, hi) in raw.get(kind, {}).items()}
+                  for kind in ("P", "Q")}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed ranges file ({type(exc).__name__}: {exc})") from None
+    if not np.isfinite([v for r in ranges.values() for pair in r.values() for v in pair]).all():
+        raise ValidationError("injection ranges must be finite")
+    return ranges
+
+
 def _cmd_check_case(args) -> int:
     case = load_case(args.case)
-    ranges = None
-    if args.ranges:
-        with open(args.ranges, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        ranges = {
-            "P": {int(k): tuple(v) for k, v in raw.get("P", {}).items()},
-            "Q": {int(k): tuple(v) for k, v in raw.get("Q", {}).items()},
-        }
+    ranges = _read_ranges(args.ranges) if args.ranges else None
     report = check_existence(case, user_ranges=ranges)
     print(f"case: {args.case}  (n={case.n}, inverters={list(case.inverter_ids)})")
     print(report.format())
@@ -218,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CaseError, ValidationError, FileNotFoundError) as exc:
+    except (CaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NewtonError, SimulationError, SynthesisError) as exc:

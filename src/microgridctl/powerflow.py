@@ -24,8 +24,12 @@ from .netmodel import (
     LoadArrays,
     NetworkCase,
     ValidationError,
+    build_admittance,
     connected,
 )
+
+NEWTON_MAX_ITER = 50  # iterations of an algebraic (load-bus KCL) solve before NewtonError
+RANK_RTOL = 1e-9  # singular-value ratio below which kappa_bound flags f_L as rank deficient
 
 
 class NewtonError(RuntimeError):
@@ -255,7 +259,6 @@ def solve_algebraic(
     alg_ids,
     loads: LoadArrays,
     tol: float = 1e-10,
-    max_iter: int = 50,
 ):
     """Newton solve of the KCL equations at the algebraic buses, in place.
 
@@ -276,7 +279,7 @@ def solve_algebraic(
         lambda: kcl_residual(Y, theta, E, alg, loads),
         lambda: kcl_matrix(full_jacobian(Y, theta, E, alg), alg, E, loads),
         lambda: np.stack((theta[alg], E[alg]), axis=1).ravel(),
-        put, tol, max_iter, "load solve",
+        put, tol, NEWTON_MAX_ITER, "load solve",
     )
 
 
@@ -329,8 +332,6 @@ def solve_loads(
     Y: AdmittanceMatrix,
     x_I: np.ndarray,
     x_L_guess: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
 ) -> LoadSolve:
     """Solve the load-bus states given the inverter sub-profile.
 
@@ -349,7 +350,7 @@ def solve_loads(
         theta[load] = x_L_guess[0::2]
         E[load] = x_L_guess[1::2]
     loads = LoadArrays.of(case.loads(), case.load_ids)
-    its = solve_algebraic(Y, theta, E, case.load_ids, loads, tol, max_iter)
+    its = solve_algebraic(Y, theta, E, case.load_ids, loads)
     res = kcl_residual(Y, theta, E, list(case.load_ids), loads)
     prof = VoltageProfile(theta=theta, E=E)
     return LoadSolve(
@@ -386,7 +387,6 @@ def kappa_bound(
     case: NetworkCase,
     Y: AdmittanceMatrix,
     sample_set,
-    rank_rtol: float = 1e-9,
 ) -> KappaEstimate:
     """Max over samples of ||pinv(f_L) @ f_I||_2.
 
@@ -403,9 +403,9 @@ def kappa_bound(
     for k, x in enumerate(samples):
         f_I, f_L = kcl_jacobian_parts(case, Y, x)
         sv = np.linalg.svd(f_L, compute_uv=False)
-        if sv[-1] < rank_rtol * sv[0]:
+        if sv[-1] < RANK_RTOL * sv[0]:
             deficient.append(k)
-        gain = np.linalg.pinv(f_L, rcond=rank_rtol) @ f_I
+        gain = np.linalg.pinv(f_L, rcond=RANK_RTOL) @ f_I
         vals.append(float(np.linalg.norm(gain, 2)))
     return KappaEstimate(kappa=max(vals), per_sample=tuple(vals), rank_deficient=tuple(deficient))
 
@@ -437,7 +437,6 @@ class ExistenceReport:
 
 def check_existence(
     case: NetworkCase,
-    Y: AdmittanceMatrix | None = None,
     user_ranges: dict | None = None,
 ) -> ExistenceReport:
     """Evaluate the classical solvability conditions on the case.
@@ -446,10 +445,7 @@ def check_existence(
     against user-supplied ranges ``{"P": {bus: (lo, hi)}, "Q": {...}}``
     and reported as unchecked otherwise.  This is a report, not a gate.
     """
-    from .netmodel import build_admittance
-
-    if Y is None:
-        Y = build_admittance(case)
+    Y = build_admittance(case)
     B = Y.Y.imag
     conds = []
 

@@ -1,8 +1,8 @@
 """Closed-loop time-domain simulation.
 
 Semi-explicit index-1 DAE: the inverter states integrate the distributed
-control law (fixed-step 4-stage explicit by default, explicit Euler
-optionally) while the algebraic buses satisfy KCL.  Once per operating
+control law with the classical fixed-step 4-stage Runge-Kutta scheme
+while the algebraic buses satisfy KCL.  Once per operating
 condition, every algebraic bus whose load is linear in V (constant
 impedance, or zero constant power such as a lost DER's open breaker) is
 folded into the admittance as a shunt and Kron-eliminated, so its voltage
@@ -12,6 +12,7 @@ without any, a stage is one injection evaluation and one call of the
 control law, integrated on a flat ``[theta; E]`` work array.  Scenario
 events reconfigure the operating condition between steps.  Traces are
 deterministic: fixed step, fixed iteration order, no wall-clock anywhere.
+Their columns, in memory and in the CSV, follow one table, ``TRACE_COLUMNS``.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ from .contingency import (
     apply_event,
 )
 
-RK4 = "rk4"
-EULER = "euler"
+EQUILIBRIUM_TOL = 1e-10  # max-norm residual of the sharing-equilibrium Newton solve
+EQUILIBRIUM_MAX_ITER = 80
+SHARING_TOL = 1e-3  # sharing error (P) below which ``metrics`` counts the shares as met
 
 
 class SimulationError(RuntimeError):
@@ -64,22 +66,27 @@ class SimulationError(RuntimeError):
 class SimConfig:
     dt: float = 1e-3
     t_end: float = 1.0
-    integrator: str = RK4
     newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     record_stride: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValidationError("dt must be positive and finite")
-        if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
-            raise ValidationError("t_end must be finite and at least one step")
+        if not (math.isfinite(self.t_end / self.dt) and self.t_end >= self.dt):
+            raise ValidationError("t_end must be at least one step and a finite number of steps")
         if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
             raise ValidationError("newton_tol must be positive and finite")
-        if self.integrator not in (RK4, EULER):
-            raise ValidationError(f"unknown integrator {self.integrator!r}")
         if self.record_stride < 1:
             raise ValidationError("record_stride must be >= 1")
+
+
+# A scenario's "sim" keys: the SimConfig fields, each with its JSON conversion.
+SIM_KEYS = {"dt": float, "t_end": float, "newton_tol": float, "record_stride": int}
+EVENT_KEYS = {  # the keys each event kind may carry
+    LOAD_STEP: ("t", "kind", "bus", "dP", "dQ"),
+    DER_LOSS: ("t", "kind", "bus", "residual"),
+    COMM_LOSS: ("t", "kind", "edge"),
+}
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,9 @@ def parse_scenario(text: str, case: NetworkCase | None = None) -> Scenario:
     """Parse a JSON scenario: ``{"events": [...], "sim": {...}}``.
 
     Event times are seconds; events are validated against the case when
-    one is supplied and come out sorted by time.  Malformed input raises
-    ParseError, out-of-range or non-finite values ValidationError.
+    one is supplied and come out sorted by time.  Malformed input, a key
+    the format does not know included, raises ParseError; out-of-range or
+    non-finite values raise ValidationError.
     """
     try:
         raw = json.loads(text)
@@ -107,10 +115,22 @@ def parse_scenario(text: str, case: NetworkCase | None = None) -> Scenario:
         raise ParseError(f"malformed scenario ({type(exc).__name__}: {exc})") from None
 
 
+def _known_keys(doc: dict, keys, where: str) -> dict:
+    """``doc`` itself; a key outside ``keys`` is a ParseError naming it."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ParseError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    return doc
+
+
 def _scenario_from_json(raw, case: NetworkCase | None) -> Scenario:
+    _known_keys(raw, ("events", "sim"), "scenario")
     events = []
     for rec in raw.get("events", []):
         kind = rec["kind"]
+        if kind not in EVENT_KEYS:
+            raise ParseError(f"unknown event kind {kind!r}")
+        _known_keys(rec, EVENT_KEYS[kind], f"{kind} event")
         t = float(rec["t"])
         if kind == LOAD_STEP:
             ev = FaultEvent(time=t, kind=kind, bus=int(rec["bus"]),
@@ -118,27 +138,18 @@ def _scenario_from_json(raw, case: NetworkCase | None) -> Scenario:
         elif kind == DER_LOSS:
             residual = None
             if "residual" in rec:
-                r = rec["residual"]
+                r = _known_keys(rec["residual"], ("P", "Q"), "der_loss residual")
                 residual = Load.constant_power(float(r.get("P", 0.0)), float(r.get("Q", 0.0)))
             ev = FaultEvent(time=t, kind=kind, bus=int(rec["bus"]), residual=residual)
-        elif kind == COMM_LOSS:
+        else:  # COMM_LOSS
             a, b = rec["edge"]
             ev = FaultEvent(time=t, kind=kind, edge=(int(a), int(b)))
-        else:
-            raise ParseError(f"unknown event kind {kind!r}")
         if case is not None:
             ev.validate_against(case)
         events.append(ev)
     events.sort(key=lambda e: e.time)
-    sim = raw.get("sim", {})
-    config = SimConfig(
-        dt=float(sim.get("dt", 1e-3)),
-        t_end=float(sim.get("t_end", 1.0)),
-        integrator=sim.get("integrator", RK4),
-        newton_tol=float(sim.get("newton_tol", 1e-10)),
-        newton_max_iter=int(sim.get("newton_max_iter", 50)),
-        record_stride=int(sim.get("record_stride", 1)),
-    )
+    sim = _known_keys(raw.get("sim", {}), SIM_KEYS, "sim")
+    config = SimConfig(**{key: SIM_KEYS[key](value) for key, value in sim.items()})
     return Scenario(events=tuple(events), config=config)
 
 
@@ -152,9 +163,35 @@ def load_scenario(path, case: NetworkCase | None = None) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
+# The trace columns in CSV order: attribute, header stem, the ids suffixed to
+# the stem (none: one 1-D column; else one column per bus or inverter) and
+# the printf format.  The "%d" columns hold integers.
+TRACE_COLUMNS = (
+    ("t", "t", None, "%.17g"),
+    ("theta", "theta", "bus", "%.17g"),
+    ("E", "E", "bus", "%.17g"),
+    ("P_inv", "P", "inverter", "%.17g"),
+    ("Q_inv", "Q", "inverter", "%.17g"),
+    ("f_inv", "f", "inverter", "%.17g"),
+    ("clamp_active", "clamp_active", None, "%d"),
+    ("angle_violation", "angle_violation", None, "%d"),
+    ("newton_iters", "newton_iters", None, "%d"),
+    ("sharing_P", "sharing_err_P", None, "%.17g"),
+    ("sharing_Q", "sharing_err_Q", None, "%.17g"),
+)
+
+
+def _trace_layout(bus_ids, inverter_ids):
+    """(attribute, header names, ids or None, format) per ``TRACE_COLUMNS`` row."""
+    id_sets = {"bus": tuple(bus_ids), "inverter": tuple(inverter_ids)}
+    for attr, stem, id_set, fmt in TRACE_COLUMNS:
+        ids = id_sets.get(id_set)
+        yield attr, [stem] if ids is None else [f"{stem}_{i}" for i in ids], ids, fmt
+
+
 @dataclass
 class Trace:
-    """Recorded time series on a uniform grid.
+    """Recorded time series on a uniform grid, one field per ``TRACE_COLUMNS`` row.
 
     theta/E cover every bus; P/Q/f cover the case's inverter buses (dead
     inverters keep their column: injections go to zero, frequency to nan).
@@ -177,6 +214,15 @@ class Trace:
     inverter_ids: tuple[int, ...]
     meta: dict = field(default_factory=dict)
 
+    @classmethod
+    def empty(cls, n_rows: int, bus_ids, inverter_ids) -> "Trace":
+        """``n_rows`` rows to fill in; the integer columns start at zero."""
+        cols = {}
+        for attr, _, ids, fmt in _trace_layout(bus_ids, inverter_ids):
+            shape = n_rows if ids is None else (n_rows, len(ids))
+            cols[attr] = np.zeros(shape, dtype=int) if fmt == "%d" else np.empty(shape)
+        return cls(**cols, bus_ids=tuple(bus_ids), inverter_ids=tuple(inverter_ids))
+
     @property
     def n_rows(self) -> int:
         return len(self.t)
@@ -184,48 +230,49 @@ class Trace:
 
 def write_trace_csv(trace: Trace, path):
     """CSV with one header row; floats carry 17 significant digits."""
-    cols = ["t"]
-    cols += [f"theta_{i}" for i in trace.bus_ids]
-    cols += [f"E_{i}" for i in trace.bus_ids]
-    cols += [f"P_{i}" for i in trace.inverter_ids]
-    cols += [f"Q_{i}" for i in trace.inverter_ids]
-    cols += [f"f_{i}" for i in trace.inverter_ids]
-    cols += ["clamp_active", "angle_violation", "newton_iters", "sharing_err_P", "sharing_err_Q"]
-    row = ",".join(["%.17g"] * (len(cols) - 5) + ["%d"] * 3 + ["%.17g"] * 2) + "\n"
-    fields = (trace.t, trace.theta, trace.E, trace.P_inv, trace.Q_inv, trace.f_inv,
-              trace.clamp_active, trace.angle_violation, trace.newton_iters,
-              trace.sharing_P, trace.sharing_Q)
+    header, fmts, fields = [], [], []
+    for attr, names, _, fmt in _trace_layout(trace.bus_ids, trace.inverter_ids):
+        header += names
+        fmts += [fmt] * len(names)
+        fields.append(getattr(trace, attr))
+    row = ",".join(fmts) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(header) + "\n")
         for lo in range(0, trace.n_rows, 128):  # a block at a time keeps the copy small
             block = np.column_stack([a[lo : lo + 128] for a in fields])
             fh.writelines(row % tuple(r) for r in block.tolist())
 
 
 def read_trace_csv(path) -> Trace:
+    """Read back a ``write_trace_csv`` file; any other layout raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    col = {name: k for k, name in enumerate(header)}
-    bus_ids = tuple(int(n.split("_")[1]) for n in header if n.startswith("theta_"))
-    inverter_ids = tuple(int(n.split("_")[1]) for n in header if n.startswith("P_"))
-    pick = lambda names: data[:, [col[n] for n in names]]
-    return Trace(
-        t=data[:, col["t"]],
-        theta=pick([f"theta_{i}" for i in bus_ids]),
-        E=pick([f"E_{i}" for i in bus_ids]),
-        P_inv=pick([f"P_{i}" for i in inverter_ids]),
-        Q_inv=pick([f"Q_{i}" for i in inverter_ids]),
-        f_inv=pick([f"f_{i}" for i in inverter_ids]),
-        clamp_active=data[:, col["clamp_active"]].astype(int),
-        angle_violation=data[:, col["angle_violation"]].astype(int),
-        newton_iters=data[:, col["newton_iters"]].astype(int),
-        sharing_P=data[:, col["sharing_err_P"]],
-        sharing_Q=data[:, col["sharing_err_Q"]],
-        bus_ids=bus_ids,
-        inverter_ids=inverter_ids,
-        meta={},
-    )
+        bus_ids, inverter_ids = (tuple(int(n[len(stem) :]) for n in header
+                                       if n.startswith(stem) and n[len(stem) :].isdecimal())
+                                 for stem in ("theta_", "P_"))
+        layout = list(_trace_layout(bus_ids, inverter_ids))
+        if header != [name for _, names, _, _ in layout for name in names]:
+            raise ParseError("trace CSV header does not match the trace column layout")
+        body = fh.tell()
+        if not fh.readline().strip():  # numpy would only warn of an empty body
+            raise ParseError("trace CSV has no rows")
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"malformed trace CSV ({exc})") from None
+    if data.shape[1] != len(header):
+        raise ParseError(f"trace CSV rows need {len(header)} values each")
+    cols, k = {}, 0
+    for attr, names, ids, fmt in layout:
+        col = data[:, k] if ids is None else data[:, k : k + len(ids)]
+        if fmt == "%d":
+            if not (np.isfinite(col) & (col == np.round(col))).all():
+                raise ParseError(f"trace CSV column {names[0]} must hold integers")
+            col = col.astype(int)
+        cols[attr] = col
+        k += len(names)
+    return Trace(**cols, bus_ids=bus_ids, inverter_ids=inverter_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +285,6 @@ def solve_equilibrium(
     Y,
     condition: OperatingCondition | None = None,
     pin_E: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 80,
 ) -> VoltageProfile:
     """Newton solve of the proportional-sharing operating point.
 
@@ -253,7 +298,7 @@ def solve_equilibrium(
     if condition is None:
         condition = OperatingCondition.initial(case)
     if pin_E is None:
-        x_nom = solve_equilibrium(case, Y, condition, pin_E=1.0, tol=tol, max_iter=max_iter)
+        x_nom = solve_equilibrium(case, Y, condition, pin_E=1.0)
         box_mid = 0.5 * (case.e_min().min() + case.e_max().max())
         prof_mid = 0.5 * (x_nom.E.min() + x_nom.E.max())
         ref = condition.active_inverters[0]
@@ -261,7 +306,7 @@ def solve_equilibrium(
         pin = min(max(pin, case.buses[ref].E_min), case.buses[ref].E_max)
         if abs(pin - 1.0) < 1e-9:
             return x_nom
-        return solve_equilibrium(case, Y, condition, pin_E=pin, tol=tol, max_iter=max_iter)
+        return solve_equilibrium(case, Y, condition, pin_E=pin)
     active = list(condition.active_inverters)
     alg = list(condition.algebraic_ids(case))
     loads = LoadArrays.of(condition.effective_loads(case), alg)
@@ -307,7 +352,8 @@ def solve_equilibrium(
         theta[var_ids] = v[2::2]
         E[var_ids] = np.maximum(v[3::2], 1e-6)
 
-    damped_newton(residual, jacobian, get, put, tol, max_iter, "equilibrium solve")
+    damped_newton(residual, jacobian, get, put, EQUILIBRIUM_TOL, EQUILIBRIUM_MAX_ITER,
+                  "equilibrium solve")
     return VoltageProfile(theta=theta, E=E)
 
 
@@ -386,8 +432,7 @@ class _Engine:
             return 0
         try:
             its = solve_algebraic(
-                self.Y_red, self.theta, self.E, self.alg_pos, self.loads,
-                tol=self.config.newton_tol, max_iter=self.config.newton_max_iter,
+                self.Y_red, self.theta, self.E, self.alg_pos, self.loads, self.config.newton_tol
             )
         except NewtonError as exc:
             self.stats["newton_iters"] += exc.iterations or 0
@@ -409,9 +454,6 @@ class _Engine:
     def _try_step(self, dt: float) -> int:
         x, ia, k = self.x, self.ia, self.k
         x0 = x[ia].copy()
-        if self.config.integrator == EULER:
-            x[ia] = x0 + dt * self.derivative(k[0])
-            return self.resolve_algebraic()
         its = 0
         for s, c in enumerate((0.5, 0.5, 1.0)):
             x[ia] = x0 + c * dt * self.derivative(k[s])
@@ -453,7 +495,6 @@ def run_scenario(
     case: NetworkCase,
     gains: GainSet,
     scenario: Scenario,
-    config: SimConfig | None = None,
     Y=None,
     initial: VoltageProfile | None = None,
 ) -> Trace:
@@ -468,7 +509,7 @@ def run_scenario(
     evaluations, plus the start used (``"initial"``, ``"equilibrium"`` or
     ``"flat"``) and, for the flat fallback, why the equilibrium solve failed.
     """
-    cfg = config or scenario.config
+    cfg = scenario.config
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ValidationError("t_end must be an integer number of steps")
@@ -487,22 +528,8 @@ def run_scenario(
     events = list(scenario.events)
     ev_idx = 0
 
-    inv_ids = list(case.inverter_ids)
-    inv_arr = np.asarray(inv_ids, dtype=int)
-    n_rec = n_steps // cfg.record_stride + 1
-    rec = {
-        "t": np.empty(n_rec),
-        "theta": np.empty((n_rec, case.n)),
-        "E": np.empty((n_rec, case.n)),
-        "P": np.empty((n_rec, len(inv_ids))),
-        "Q": np.empty((n_rec, len(inv_ids))),
-        "f": np.empty((n_rec, len(inv_ids))),
-        "clamp": np.zeros(n_rec, dtype=int),
-        "angle": np.zeros(n_rec, dtype=int),
-        "its": np.zeros(n_rec, dtype=int),
-        "shP": np.empty(n_rec),
-        "shQ": np.empty(n_rec),
-    }
+    inv_arr = np.asarray(case.inverter_ids, dtype=int)
+    trace = Trace.empty(n_steps // cfg.record_stride + 1, range(case.n), case.inverter_ids)
     lines_f = np.array([ln.from_bus for ln in case.lines], dtype=int)
     lines_t = np.array([ln.to_bus for ln in case.lines], dtype=int)
     uncertified = False
@@ -516,22 +543,22 @@ def run_scenario(
         P, Q = injections_raw(Y, theta, E)
         act = eng.act
         rates, raw = eng.control_law(P[act], Q[act], E[act])
-        rec["t"][row] = t
-        rec["theta"][row] = theta
-        rec["E"][row] = E
-        rec["P"][row] = P[inv_arr]
-        rec["Q"][row] = Q[inv_arr]
-        rec["f"][row] = np.nan
-        rec["f"][row, np.searchsorted(inv_arr, act)] = frequency_of(rates[: len(act)], case.omega0)
-        rec["clamp"][row] = clamp_count(eng.control, raw, E[act])
+        trace.t[row] = t
+        trace.theta[row] = theta
+        trace.E[row] = E
+        trace.P_inv[row] = P[inv_arr]
+        trace.Q_inv[row] = Q[inv_arr]
+        trace.f_inv[row] = np.nan
+        trace.f_inv[row, np.searchsorted(inv_arr, act)] = frequency_of(rates[: len(act)], case.omega0)
+        trace.clamp_active[row] = clamp_count(eng.control, raw, E[act])
         if len(lines_f):
             max_ang = np.abs(theta[lines_f] - theta[lines_t]).max()
-            rec["angle"][row] = 1 if max_ang > case.gamma + 1e-12 else 0
-        rec["its"][row] = its_accum
+            trace.angle_violation[row] = 1 if max_ang > case.gamma + 1e-12 else 0
+        trace.newton_iters[row] = its_accum
         ratios_p = P[eng.act] / eng.control.p_star
         ratios_q = Q[eng.act] / eng.control.q_star
-        rec["shP"][row] = ratios_p.max() - ratios_p.min()
-        rec["shQ"][row] = ratios_q.max() - ratios_q.min()
+        trace.sharing_P[row] = ratios_p.max() - ratios_p.min()
+        trace.sharing_Q[row] = ratios_q.max() - ratios_q.min()
         its_accum = 0
         row += 1
 
@@ -551,29 +578,14 @@ def run_scenario(
         if k_step < n_steps:
             its_accum += eng.advance(cfg.dt)
 
-    trace = Trace(
-        t=rec["t"],
-        theta=rec["theta"],
-        E=rec["E"],
-        P_inv=rec["P"],
-        Q_inv=rec["Q"],
-        f_inv=rec["f"],
-        clamp_active=rec["clamp"],
-        angle_violation=rec["angle"],
-        newton_iters=rec["its"],
-        sharing_P=rec["shP"],
-        sharing_Q=rec["shQ"],
-        bus_ids=tuple(range(case.n)),
-        inverter_ids=tuple(inv_ids),
-        meta={
-            "f0_hz": case.omega0 / (2 * math.pi),
-            "gamma": case.gamma,
-            "uncertified": uncertified,
-            "event_times": tuple(event_times_applied),
-            "final_active": tuple(eng.active),
-            "stats": eng.stats,
-        },
-    )
+    trace.meta = {
+        "f0_hz": case.omega0 / (2 * math.pi),
+        "gamma": case.gamma,
+        "uncertified": uncertified,
+        "event_times": tuple(event_times_applied),
+        "final_active": tuple(eng.active),
+        "stats": eng.stats,
+    }
     return trace
 
 
@@ -625,8 +637,7 @@ class MetricsSummary:
         return "\n".join(out)
 
 
-def metrics(trace: Trace, case: NetworkCase | None = None,
-            sharing_tol: float = 1e-3) -> MetricsSummary:
+def metrics(trace: Trace, case: NetworkCase | None = None) -> MetricsSummary:
     """Summary of sharing, frequency, voltage, and angle behavior.
 
     Bound-based figures (frequency deviation, voltage violations, branch
@@ -636,6 +647,8 @@ def metrics(trace: Trace, case: NetworkCase | None = None,
     f0 = None
     gamma = None
     if case is not None:
+        if (trace.bus_ids, trace.inverter_ids) != (tuple(range(case.n)), tuple(case.inverter_ids)):
+            raise ValidationError("the trace's bus and inverter columns do not match the case")
         f0 = case.omega0 / (2 * math.pi)
         gamma = case.gamma
     elif trace.meta:
@@ -643,7 +656,7 @@ def metrics(trace: Trace, case: NetworkCase | None = None,
         gamma = trace.meta.get("gamma")
 
     sh_p = trace.sharing_P
-    ok = sh_p <= sharing_tol
+    ok = sh_p <= SHARING_TOL
     t_ok = None
     if ok[-1]:
         idx = len(ok) - 1
@@ -670,7 +683,7 @@ def metrics(trace: Trace, case: NetworkCase | None = None,
         final_sharing_P=float(trace.sharing_P[-1]),
         final_sharing_Q=float(trace.sharing_Q[-1]),
         time_to_sharing_tol=t_ok,
-        sharing_tol=sharing_tol,
+        sharing_tol=SHARING_TOL,
         freq_min=fmin,
         freq_max=fmax,
         max_freq_dev=max_dev,

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from microgridctl.cli import main
 from microgridctl.certify import certificate_to_json
@@ -191,3 +192,70 @@ def test_synthesize_and_certify_stats_print_search_counters(tmp_path, capsys):
     assert _json_lines(capsys.readouterr().out) == [stats]
     assert main(["certify", str(case), prefix + ".gains.json"]) == 0
     assert _json_lines(capsys.readouterr().out) == []
+
+
+def _trace_csv(tmp_path):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"sim": {"t_end": 0.02, "dt": 0.005}}))
+    path = tmp_path / "trace.csv"
+    assert main(["simulate", CASE, GAINS, str(scen), "--out", str(path)]) == 0
+    return path
+
+
+def _non_numeric_cell(tmp_path):
+    path = _trace_csv(tmp_path)
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, "x," + first.split(",", 1)[1], *rest]) + "\n")
+    return ["metrics", str(path)]
+
+
+def _no_t_column(tmp_path):
+    path = _trace_csv(tmp_path)
+    path.write_text("".join(ln.split(",", 1)[1] + "\n" for ln in path.read_text().splitlines()))
+    return ["metrics", str(path)]
+
+
+def _ranges(text):
+    def argv(tmp_path):
+        path = tmp_path / "ranges.json"
+        path.write_text(text)
+        return ["check-case", CASE, "--ranges", str(path)]
+    return argv
+
+
+BAD_INPUTS = {
+    "metrics_non_numeric_cell": _non_numeric_cell,
+    "metrics_without_t_column": _no_t_column,
+    "ranges_bad_json": _ranges("{bad"),
+    "ranges_top_level_list": _ranges("[1, 2]"),
+    "ranges_non_integer_bus": _ranges('{"P": {"x": [0.0, 1.0]}}'),
+    "check_case_on_a_directory": lambda tmp_path: ["check-case", str(tmp_path)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_without_traceback(name, tmp_path, capsys):
+    argv = BAD_INPUTS[name](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_ranges_are_checked(tmp_path, capsys):
+    path = tmp_path / "ranges.json"
+    path.write_text('{"P": {"0": [0.0, 5.0]}, "Q": {"3": [-1.0, 1.0]}}')
+    assert main(["check-case", CASE, "--ranges", str(path)]) == 0
+    assert "(f) PASS" in capsys.readouterr().out
+    path.write_text('{"P": {"0": [0.0, NaN]}}')
+    assert main(["check-case", CASE, "--ranges", str(path)]) == 1
+
+
+def test_metrics_of_a_trace_from_another_case_exits_1(tmp_path, capsys):
+    other = make_case([inverter(0), inverter(1, P=0.5, Q=0.25), z_load(2, G=0.4, B=0.15)],
+                      [line(0, 2, R=0.03, X=0.12), line(1, 2, R=0.04, X=0.15)], [[0, 1]])
+    case = tmp_path / "other.json"
+    case.write_text(case_to_json(other))
+    path = _trace_csv(tmp_path)
+    assert main(["metrics", str(path), "--case", str(case)]) == 1
+    assert "do not match the case" in capsys.readouterr().err

@@ -3,17 +3,23 @@
 Each example drops keys or list entries, swaps values for other JSON types,
 inserts NaN or +-inf, or nests a value one list deeper (a shape change),
 then hands the text to the parser.  Non-finite numbers reach the parser as
-the ``NaN``/``Infinity`` tokens that Python's json module reads.
+the ``NaN``/``Infinity`` tokens that Python's json module reads.  The
+command-line tests at the end feed such files, and damaged trace CSVs, to
+the ``microgridctl`` subcommands, which must end in a documented exit code.
 """
 
 import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from microgridctl import data as bundled
 from microgridctl.certify import CertificateError, parse_certificate
+from microgridctl.cli import main
 from microgridctl.controller import parse_gains
 from microgridctl.netmodel import ParseError, ValidationError, parse_case
 from microgridctl.sim import parse_scenario
@@ -92,3 +98,109 @@ def test_fuzzed_scenario_raises_only_documented_errors(case14, text):
 @given(mutated(_doc(bundled.CERT14)))
 def test_fuzzed_certificate_raises_only_documented_errors(text):
     _parses_or_documented_error(parse_certificate, text)
+
+
+# -- the command line on mutated files ------------------------------------------
+#
+# The bundled files and a short trace CSV are mutated as above, rescaled or
+# truncated, written to disk and handed to ``cli.main``.  Whatever the mutant, the
+# command must return one of the documented exit codes: no exception escapes.
+
+CASE = str(bundled.data_path(bundled.CASE14))
+SHORT_SCENARIO = {"events": [
+    {"t": 0.02, "kind": "load_step", "bus": 9, "dP": 0.01, "dQ": 0.005},
+    {"t": 0.04, "kind": "der_loss", "bus": 0, "residual": {"P": 0.01, "Q": 0.0}},
+    {"t": 0.06, "kind": "comm_loss", "edge": [1, 2]},
+], "sim": {"t_end": 0.1, "dt": 0.005, "record_stride": 5}}
+CELLS = ("x", "", "nan", "inf", "-inf", "1e999", "-1", "0.5")
+CLI_FUZZ = settings(FUZZ, max_examples=25)
+
+
+@st.composite
+def truncated(draw, doc):
+    text = json.dumps(doc)
+    return text[: draw(st.integers(0, len(text) - 1))]
+
+
+@st.composite
+def rescaled(draw, doc):
+    """Numbers scaled by 0, -1, 1/2 or 2: mostly still well-formed, often invalid."""
+    doc = copy.deepcopy(doc)
+    slots = [(p, k) for p, k in _paths(doc) if type(p[k]) in (int, float)]
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = draw(st.sampled_from(slots))
+        parent[key] *= draw(st.sampled_from((0, -1, 0.5, 2)))
+    return json.dumps(doc)
+
+
+def damaged(doc):
+    return st.one_of(mutated(doc), truncated(doc), rescaled(doc))
+
+
+@st.composite
+def mutated_csv(draw, text):
+    """Junk or NaN cells, dropped cells or columns, or a file cut short."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        cells = lines[r].split(",")
+        c = draw(st.integers(0, len(cells) - 1))
+        op = draw(st.sampled_from(("junk", "junk", "drop_cell", "drop_column", "truncate")))
+        if op == "junk":
+            lines[r] = ",".join(cells[:c] + [draw(st.sampled_from(CELLS))] + cells[c + 1 :])
+        elif op == "drop_cell":
+            lines[r] = ",".join(cells[:c] + cells[c + 1 :])
+        elif op == "drop_column":
+            lines = [",".join(x for k, x in enumerate(ln.split(",")) if k != c) for ln in lines]
+        else:
+            lines = lines[:r] + [",".join(cells[:c])]
+    return "\n".join(lines) + "\n"
+
+
+def _short_trace_csv():
+    from microgridctl.sim import parse_scenario, run_scenario, write_trace_csv
+
+    case = bundled.bundled_case()
+    trace = run_scenario(case, bundled.bundled_gains(), parse_scenario(json.dumps(SHORT_SCENARIO), case))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        return path.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_fuzz") / "mutant"
+
+
+def _runs_cleanly(path, text, *argvs):
+    """Every argv, with ``path`` holding ``text``, ends in a documented exit code."""
+    path.write_text(text, encoding="utf-8")
+    for argv in argvs:
+        assert main([str(path) if a is None else a for a in argv]) in (0, 1, 2, 3), argv
+
+
+@CLI_FUZZ
+@given(damaged(_doc(bundled.CASE14)))
+def test_cli_on_fuzzed_case_exits_with_a_documented_code(mutant_path, text):
+    _runs_cleanly(mutant_path, text, ["check-case", None], ["bounds", None])
+
+
+@CLI_FUZZ
+@given(damaged(_doc(bundled.CERT14)))
+def test_cli_on_fuzzed_certificate_exits_with_a_documented_code(mutant_path, text):
+    synth = str(bundled.data_path(bundled.GAINS14_SYNTH))
+    _runs_cleanly(mutant_path, text, ["certify", CASE, synth, "--cert", None])
+
+
+@CLI_FUZZ
+@given(damaged(SHORT_SCENARIO))
+def test_cli_on_fuzzed_scenario_exits_with_a_documented_code(mutant_path, text):
+    gains = str(bundled.data_path(bundled.GAINS14))
+    _runs_cleanly(mutant_path, text, ["simulate", CASE, gains, None])
+
+
+@settings(CLI_FUZZ, max_examples=60)
+@given(st.deferred(lambda: mutated_csv(_short_trace_csv())))
+def test_cli_on_fuzzed_trace_exits_with_a_documented_code(mutant_path, text):
+    _runs_cleanly(mutant_path, text, ["metrics", None], ["metrics", None, "--case", CASE])

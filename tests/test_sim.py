@@ -27,11 +27,10 @@ from microgridctl.sim import (
 from conftest import MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS, inverter, line, make_case
 
 
-def scenario_of(case, events, t_end=1.0, dt=0.005, stride=1, integrator="rk4"):
+def scenario_of(case, events, t_end=1.0, dt=0.005, stride=1):
     return parse_scenario(json.dumps({
         "events": events,
-        "sim": {"t_end": t_end, "dt": dt, "record_stride": stride,
-                "integrator": integrator},
+        "sim": {"t_end": t_end, "dt": dt, "record_stride": stride},
     }), case)
 
 
@@ -205,12 +204,6 @@ def test_dt_halving_recovers_from_transient_newton_failure(case14, Y14, gains14)
         eng2.advance(cfg.dt)
 
 
-def test_euler_integrator_available(case14, Y14, gains14):
-    scn = scenario_of(case14, [], t_end=0.05, dt=0.005, integrator="euler")
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
-    assert tr.n_rows == 11
-
-
 def test_scenario_parse_sorts_and_validates(case14):
     scn = parse_scenario(json.dumps({
         "events": [
@@ -227,6 +220,23 @@ def test_scenario_parse_sorts_and_validates(case14):
         }), case14)
     with pytest.raises(mg.ParseError):
         parse_scenario(json.dumps({"events": [{"t": 1.0, "kind": "meteor"}]}), case14)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"sim": {"t_ned": 5}, "evnts": []}', "'evnts'"),
+    ('{"sim": {"t_ned": 5}}', "'t_ned'"),
+    ('{"sim": {"t_end": 0.1, "integrator": "euler"}}', "'integrator'"),
+    ('{"events": [{"t": 1.0, "kind": "load_step", "bus": 9, "dp": 0.5}]}', "'dp'"),
+    ('{"events": [{"t": 1.0, "kind": "der_loss", "bus": 0, "residual": {"p": 0.5}}]}', "'p'"),
+])
+def test_scenario_rejects_unknown_keys(text, key):
+    with pytest.raises(mg.ParseError, match=key):
+        parse_scenario(text)
+
+
+def test_step_count_must_be_finite():
+    with pytest.raises(mg.ValidationError, match="t_end"):
+        parse_scenario('{"sim": {"t_end": 1e308, "dt": 0.005}}')
 
 
 def test_velocity_check_skips_event_intervals(case14, Y14, gains14):
