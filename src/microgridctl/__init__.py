@@ -16,15 +16,12 @@ from .netmodel import (
     parse_case,
 )
 from .powerflow import (
-    InjectionVector,
     JacobianPair,
     NewtonError,
     VoltageProfile,
     check_existence,
-    injections,
     jacobians,
     kappa_bound,
-    solve_loads,
 )
 from .controller import (
     ControlState,
@@ -36,7 +33,6 @@ from .controller import (
     parse_gains,
 )
 from .certify import (
-    CapacityBox,
     CertificateError,
     IntervalHull,
     StabilityCertificate,
@@ -70,7 +66,6 @@ from .sim import (
     read_trace_csv,
     run_scenario,
     solve_equilibrium,
-    step,
     write_trace_csv,
 )
 

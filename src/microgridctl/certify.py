@@ -34,7 +34,13 @@ from .netmodel import (
     case_to_json,
     laplacian,
 )
-from .controller import GainSet, consensus_patterns, gains_to_json
+from .controller import (
+    DEFAULT_E_DOT_MAX,
+    DEFAULT_THETA_DOT_MAX,
+    GainSet,
+    consensus_patterns,
+    gains_to_json,
+)
 from .powerflow import VoltageProfile, jacobians, kappa_bound
 
 EIG_TOL = 1e-9  # absolute tolerance on extreme eigenvalues in all checks
@@ -48,7 +54,7 @@ XI_RESOLUTION = 1e-6  # stage 2 bisects xi to this width
 ZETA_SAMPLES, ZETA_SEED = 64, 2024  # interior profiles (plus flat) behind stage 2's zeta estimate
 STAGE1_MIN_MARGIN = 1e-8  # block margin stage 1 must reach
 RATE_SWEEPS = 8  # subgradient projections per gain row onto its rate slab
-CAPACITY_MARGIN = 2.0  # default capacity box: [0, 2 P*] x [0, 2 Q*] per inverter
+CAPACITY_MARGIN = 2.0  # capacity box of the rate constraints: [0, 2 P*] x [0, 2 Q*] per inverter
 
 
 class SynthesisError(RuntimeError):
@@ -736,62 +742,42 @@ def zeta_estimate(
 
 
 # ---------------------------------------------------------------------------
-# capacity box (rate-constraint vertices)
+# rate constraints over the capacity box
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CapacityBox:
-    """Raw (P, Q) capacity intervals per inverter, in inverter-id order."""
-
-    P_min: np.ndarray
-    P_max: np.ndarray
-    Q_min: np.ndarray
-    Q_max: np.ndarray
-
-    @staticmethod
-    def default_from_case(case: NetworkCase) -> "CapacityBox":
-        p = case.p_star()
-        q = case.q_star()
-        return CapacityBox(
-            P_min=np.minimum(0.0, CAPACITY_MARGIN * p),
-            P_max=np.maximum(0.0, CAPACITY_MARGIN * p),
-            Q_min=np.minimum(0.0, CAPACITY_MARGIN * q),
-            Q_max=np.maximum(0.0, CAPACITY_MARGIN * q),
-        )
-
-    def normalized_box(self, case: NetworkCase):
-        """(lo, hi) interleaved bounds of S over the capacity box."""
-        p, q = case.p_star(), case.q_star()
-        lo = np.empty(2 * len(p))
-        hi = np.empty(2 * len(p))
-        a, b = self.P_min / p, self.P_max / p
-        lo[0::2], hi[0::2] = np.minimum(a, b), np.maximum(a, b)
-        a, b = self.Q_min / q, self.Q_max / q
-        lo[1::2], hi[1::2] = np.minimum(a, b), np.maximum(a, b)
-        return lo, hi
+def _rate_rows(lap, k: int) -> np.ndarray:
+    """(2, 2m) map of the stacked normalized injections s onto the mixed pair
+    (Lbar s) of the inverter at position k: a gain row K_r gives the rate
+    functional c = K_r[0] * base[0] + K_r[1] * base[1]."""
+    base = np.zeros((2, 2 * len(lap.order)))
+    base[0, 0::2] = lap.L[k]
+    base[1, 1::2] = lap.L[k]
+    return base
 
 
-def _rate_row_coeffs(L: np.ndarray, inverter_pos: int, K_row: np.ndarray) -> np.ndarray:
-    """Coefficients of K_row . (Lbar s)_pair as a linear functional of s."""
-    m = L.shape[0]
-    c = np.zeros(2 * m)
-    c[0::2] = K_row[0] * L[inverter_pos]
-    c[1::2] = K_row[1] * L[inverter_pos]
-    return c
+def _slab_reach(c: np.ndarray):
+    """(c . mid, max |c . s|) of a rate functional c over the capacity box.
+
+    Each normalized injection P / P* or Q / Q* spans [0, CAPACITY_MARGIN]
+    (P* and Q* are nonzero), so the box's centre and half-width are both
+    ``mid`` = CAPACITY_MARGIN / 2 on every entry and the reach is
+    |c . mid| + |c| . mid.
+    """
+    mid = np.full(len(c), 0.5 * CAPACITY_MARGIN)
+    center = c @ mid
+    return center, abs(center) + np.abs(c) @ mid
 
 
-def rate_constraint_excess(gains: GainSet, case: NetworkCase, box: CapacityBox) -> float:
+def rate_constraint_excess(gains: GainSet, case: NetworkCase) -> float:
     """Worst ratio of |K Lbar s| to its rate bound over the capacity box (<=1 ok)."""
-    lo, hi = box.normalized_box(case)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     lap = laplacian(case.comm_edges, case.inverter_ids)
     worst = 0.0
     for k, i in enumerate(lap.order):
+        base = _rate_rows(lap, k)
         for r, bound in ((0, gains.theta_dot_max), (1, gains.E_dot_max)):
-            c = _rate_row_coeffs(lap.L, k, gains.blocks[i][r])
-            reach = abs(c @ mid) + np.abs(c) @ half
-            worst = max(worst, reach / bound)
+            K_row = gains.blocks[i][r]
+            worst = max(worst, _slab_reach(K_row[0] * base[0] + K_row[1] * base[1])[1] / bound)
     return worst
 
 
@@ -800,55 +786,41 @@ def rate_constraint_excess(gains: GainSet, case: NetworkCase, box: CapacityBox) 
 # ---------------------------------------------------------------------------
 
 
-def _project_rate_rows(K_blocks: dict[int, np.ndarray], case: NetworkCase,
-                       gains_limits, box: CapacityBox, only):
+def _project_rate_rows(K_blocks: dict[int, np.ndarray], case: NetworkCase, only):
     """Cyclic projection of the gain rows of the inverters ``only`` onto
-    their rate slab constraints.
+    their rate slab constraints at the controller's default rate limits.
 
     Each constraint is |<k_row, c(s-functional)>| <= bound over the
     capacity box; slabs are symmetric so the zero row is always feasible.
     """
-    theta_max, e_max = gains_limits
-    lo, hi = box.normalized_box(case)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     lap = laplacian(case.comm_edges, case.inverter_ids)
     for k, i in enumerate(lap.order):
         if i not in only:
             continue
-        Lrow = lap.L[k]
-        m = len(lap.order)
-        base = np.zeros((2, 2 * m))
-        base[0, 0::2] = Lrow
-        base[1, 1::2] = Lrow
-        for r, bound in ((0, theta_max), (1, e_max)):
+        base = _rate_rows(lap, k)
+        for r, bound in ((0, DEFAULT_THETA_DOT_MAX), (1, DEFAULT_E_DOT_MAX)):
             row = K_blocks[i][r].copy()
             for _ in range(RATE_SWEEPS):
                 c = row[0] * base[0] + row[1] * base[1]
-                center = c @ mid
-                spread = np.abs(c) @ half
-                reach = abs(center) + spread
+                center, reach = _slab_reach(c)
                 if reach <= bound:
                     break
-                g = np.array(
-                    [
-                        np.sign(center) * (base[0] @ mid) + (np.sign(c) * base[0]) @ half,
-                        np.sign(center) * (base[1] @ mid) + (np.sign(c) * base[1]) @ half,
-                    ]
-                )
+                # the reach's subgradient in row: sign(c . mid) base . mid + (sign(c) base) . mid
+                g = np.array([np.sign(center) * _slab_reach(b)[0] + _slab_reach(np.sign(c) * b)[0]
+                              for b in base])
                 gn2 = g @ g
                 if gn2 < 1e-30:
                     row *= bound / max(reach, 1e-30)
                     break
                 row -= (reach - bound) / gn2 * g
-            c = row[0] * base[0] + row[1] * base[1]
-            reach = abs(c @ mid) + np.abs(c) @ half
+            _, reach = _slab_reach(row[0] * base[0] + row[1] * base[1])
             if reach > bound:
                 row *= bound / reach
             K_blocks[i][r] = row
     return K_blocks
 
 
-def _stage1_block(case, blk, D, rate_limits, box, iters):
+def _stage1_block(case, blk, D, iters):
     """Minimize the block spectral abscissa from a few starting directions."""
     D_mean = D.mean(axis=0)
     inits = [{i: -np.eye(2) for i in blk}]
@@ -872,7 +844,7 @@ def _stage1_block(case, blk, D, rate_limits, box, iters):
     b = len(blk)
     for init in inits:
         K_blocks = {i: K.copy() for i, K in init.items()}
-        _project_rate_rows(K_blocks, case, rate_limits, box, only=set(blk))
+        _project_rate_rows(K_blocks, case, only=set(blk))
         kb = np.zeros((2 * b, 2 * b))
         for t in range(iters):
             for p, i in enumerate(blk):
@@ -890,40 +862,34 @@ def _stage1_block(case, blk, D, rate_limits, box, iters):
             step = 0.5 * scale / (np.abs(G).max() + 1e-30) / math.sqrt(t + 1.0)
             for p, i in enumerate(blk):
                 K_blocks[i] = K_blocks[i] - step * G[2 * p : 2 * p + 2, 2 * p : 2 * p + 2]
-            _project_rate_rows(K_blocks, case, rate_limits, box, only=set(blk))
+            _project_rate_rows(K_blocks, case, only=set(blk))
     return best_blocks
 
 
 def stage1_gains(
     case: NetworkCase,
     hull: IntervalHull,
-    rate_limits: tuple[float, float],
-    box: CapacityBox,
     iters: int = 300,
 ) -> GainSet:
     """Subgradient descent on the per-block spectral abscissa.
 
     Minimizes max_D lambda_max(D K_b + K_b^T D^T) per block, projected
-    onto the rate-limit slabs; afterwards the gains are scaled to the
-    constraint boundary (the margin scales with the gains).  Raises
-    SynthesisError when no negative margin is found.
+    onto the slabs of the controller's default rate limits over the
+    capacity box; afterwards the gains are scaled to the constraint
+    boundary (the margin scales with the gains).  The gains carry the
+    default rate limits.  Raises SynthesisError when no negative margin
+    is found.
     """
-    theta_max, e_max = rate_limits
     K_blocks = {}
     for blk, bb in zip(hull.blocks, hull.per_block):
-        K_blocks.update(_stage1_block(case, blk, bb.D_stack, rate_limits, box, iters))
+        K_blocks.update(_stage1_block(case, blk, bb.D_stack, iters))
 
-    gains = GainSet(blocks={i: K.copy() for i, K in K_blocks.items()},
-                    theta_dot_max=theta_max, E_dot_max=e_max)
+    gains = GainSet(blocks={i: K.copy() for i, K in K_blocks.items()})
     # push to the rate boundary: margins are linear in the gain scale
-    excess = rate_constraint_excess(gains, case, box)
+    excess = rate_constraint_excess(gains, case)
     if excess > 0.0:
         factor = 0.999 / excess
-        gains = GainSet(
-            blocks={i: K * factor for i, K in gains.blocks.items()},
-            theta_dot_max=theta_max,
-            E_dot_max=e_max,
-        )
+        gains = GainSet(blocks={i: K * factor for i, K in gains.blocks.items()})
     feas = block_feasibility(gains, hull, d=STAGE1_MIN_MARGIN)
     if not feas.passed:
         raise SynthesisError(
@@ -1116,7 +1082,6 @@ def certificate_for_gains(
     case: NetworkCase,
     gains: GainSet,
     hull: IntervalHull | None = None,
-    zeta: float | None = None,
     u_steps: int = 25,
 ) -> StabilityCertificate:
     """Stage 2: search (U, eps, xi) certifying the given gains.
@@ -1157,11 +1122,9 @@ def certificate_for_gains(
         )
     d_margin = -feas.worst
 
-    if zeta is None:
-        samples = sample_interior_profiles(case, ZETA_SAMPLES, seed=ZETA_SEED)
-        samples.append(VoltageProfile.flat(case.n))
-        zeta = zeta_estimate(case, gains, samples).zeta
-    zeta_requested = max(zeta, 1e-12)
+    samples = sample_interior_profiles(case, ZETA_SAMPLES, seed=ZETA_SEED)
+    samples.append(VoltageProfile.flat(case.n))
+    zeta_requested = max(zeta_estimate(case, gains, samples).zeta, 1e-12)
 
     basis = build_basis(case.n_inverters)
     K = gains.stacked(case.inverter_ids)
@@ -1206,12 +1169,8 @@ def synthesize_gains(
     """Full two-stage synthesis: gains via per-block subgradient descent,
     then a certificate for the result.  Clean SynthesisError on failure.
     """
-    from .controller import DEFAULT_E_DOT_MAX, DEFAULT_THETA_DOT_MAX
-
     if hull is None:
         hull = build_hull(case)
-    rate_limits = (DEFAULT_THETA_DOT_MAX, DEFAULT_E_DOT_MAX)
-    gains = stage1_gains(case, hull, rate_limits, CapacityBox.default_from_case(case),
-                         iters=stage1_iters)
+    gains = stage1_gains(case, hull, iters=stage1_iters)
     cert = certificate_for_gains(case, gains, hull)
     return gains, cert

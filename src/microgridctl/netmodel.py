@@ -421,6 +421,15 @@ def laplacian(comm_edges, active_inverters) -> CommLaplacian:
 # ---------------------------------------------------------------------------
 
 
+def json_int(value, what: str) -> int:
+    """``value`` as an int: a JSON integer, or a number with no fractional
+    part; a fraction, a boolean or anything else is a ParseError naming ``what``."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_from_json(obj) -> Load:
     if obj["kind"] == CONSTANT_POWER:
         return Load.constant_power(float(obj["P"]), float(obj["Q"]))
@@ -430,7 +439,7 @@ def _load_from_json(obj) -> Load:
 
 
 def _bus_from_json(rec) -> Bus:
-    bus_id, kind = int(rec["id"]), rec["kind"]
+    bus_id, kind = json_int(rec["id"], "bus id"), rec["kind"]
     limits = {"id": bus_id, "kind": kind, "E_min": float(rec["E_min"]), "E_max": float(rec["E_max"])}
     if kind == INVERTER:
         return Bus(**limits, P_star=float(rec["P_star"]), Q_star=float(rec["Q_star"]))
@@ -467,8 +476,8 @@ def _case_from_json(raw) -> NetworkCase:
             raise ParseError(f"missing top-level key {key!r}")
     lines = [
         Line(
-            from_bus=int(rec["from"]),
-            to_bus=int(rec["to"]),
+            from_bus=json_int(rec["from"], "line 'from'"),
+            to_bus=json_int(rec["to"], "line 'to'"),
             R=float(rec["R"]),
             X=float(rec["X"]),
             B_sh=float(rec.get("B_sh", 0.0)),
@@ -480,7 +489,8 @@ def _case_from_json(raw) -> NetworkCase:
     return NetworkCase(
         buses=tuple(_bus_from_json(rec) for rec in raw["buses"]),
         lines=tuple(lines),
-        comm_edges=tuple(_as_edge(e) for e in raw["comm_edges"]),
+        comm_edges=tuple(_as_edge([json_int(end, "comm edge end") for end in e])
+                         for e in raw["comm_edges"]),
         gamma=math.radians(float(params["gamma_deg"])),
         omega0=2.0 * math.pi * float(params["f0_hz"]),
         base_mva=float(params.get("base_mva", 100.0)),

@@ -28,6 +28,7 @@ from .netmodel import (
     connected,
 )
 
+NEWTON_TOL = 1e-10  # max-norm KCL residual at which an algebraic (load-bus) solve stops
 NEWTON_MAX_ITER = 50  # iterations of an algebraic (load-bus KCL) solve before NewtonError
 RANK_RTOL = 1e-9  # singular-value ratio below which kappa_bound flags f_L as rank deficient
 
@@ -77,23 +78,6 @@ class VoltageProfile:
     def flat(n: int) -> "VoltageProfile":
         return VoltageProfile(theta=np.zeros(n), E=np.ones(n))
 
-    def x_of(self, ids) -> np.ndarray:
-        """Interleaved [theta_i, E_i, ...] over the given bus ids."""
-        ids = np.asarray(ids, dtype=int)
-        out = np.empty(2 * len(ids))
-        out[0::2] = self.theta[ids]
-        out[1::2] = self.E[ids]
-        return out
-
-
-@dataclass(frozen=True)
-class InjectionVector:
-    """Per-bus injections plus the stacked normalized inverter pairs."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    S_I: np.ndarray
-
 
 @dataclass(frozen=True)
 class JacobianPair:
@@ -116,16 +100,6 @@ def injections_raw(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray):
     V = E * np.exp(1j * theta)
     S = V * np.conj(Y.Y.dot(V))
     return S.real, S.imag
-
-
-def injections(case: NetworkCase, Y: AdmittanceMatrix, x: VoltageProfile) -> InjectionVector:
-    """Active/reactive injections at every bus plus normalized S_I."""
-    P, Q = injections_raw(Y, x.theta, x.E)
-    inv = np.asarray(case.inverter_ids, dtype=int)
-    S_I = np.empty(2 * len(inv))
-    S_I[0::2] = P[inv] / case.p_star()
-    S_I[1::2] = Q[inv] / case.q_star()
-    return InjectionVector(P=P, Q=Q, S_I=S_I)
 
 
 def full_jacobian(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray, rows=None):
@@ -258,7 +232,6 @@ def solve_algebraic(
     E: np.ndarray,
     alg_ids,
     loads: LoadArrays,
-    tol: float = 1e-10,
 ):
     """Newton solve of the KCL equations at the algebraic buses, in place.
 
@@ -279,7 +252,7 @@ def solve_algebraic(
         lambda: kcl_residual(Y, theta, E, alg, loads),
         lambda: kcl_matrix(full_jacobian(Y, theta, E, alg), alg, E, loads),
         lambda: np.stack((theta[alg], E[alg]), axis=1).ravel(),
-        put, tol, NEWTON_MAX_ITER, "load solve",
+        put, NEWTON_TOL, NEWTON_MAX_ITER, "load solve",
     )
 
 
@@ -315,50 +288,6 @@ def kron_reduce(Y: AdmittanceMatrix, keep, shunts: dict[int, complex]):
         Y_red = Y_red + Y.Y[np.ix_(keep, elim)] @ X
         Y_red = 0.5 * (Y_red + Y_red.T)
     return AdmittanceMatrix(Y=Y_red), X
-
-
-@dataclass(frozen=True)
-class LoadSolve:
-    """Result of solve_loads: the load sub-profile and solver diagnostics."""
-
-    x_L: np.ndarray
-    profile: VoltageProfile
-    iterations: int
-    residual: float
-
-
-def solve_loads(
-    case: NetworkCase,
-    Y: AdmittanceMatrix,
-    x_I: np.ndarray,
-    x_L_guess: np.ndarray | None = None,
-) -> LoadSolve:
-    """Solve the load-bus states given the inverter sub-profile.
-
-    Starts flat (theta 0, E 1) unless a warm-start guess is provided.
-    """
-    n = case.n
-    theta = np.zeros(n)
-    E = np.ones(n)
-    inv = np.asarray(case.inverter_ids, dtype=int)
-    theta[inv] = x_I[0::2]
-    E[inv] = x_I[1::2]
-    load = np.asarray(case.load_ids, dtype=int)
-    if x_L_guess is not None:
-        if not np.all(np.isfinite(x_L_guess)):
-            raise ValidationError("x_L_guess must be finite")
-        theta[load] = x_L_guess[0::2]
-        E[load] = x_L_guess[1::2]
-    loads = LoadArrays.of(case.loads(), case.load_ids)
-    its = solve_algebraic(Y, theta, E, case.load_ids, loads)
-    res = kcl_residual(Y, theta, E, list(case.load_ids), loads)
-    prof = VoltageProfile(theta=theta, E=E)
-    return LoadSolve(
-        x_L=prof.x_of(load),
-        profile=prof,
-        iterations=its,
-        residual=float(np.abs(res).max()) if res.size else 0.0,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import microgridctl as mg
 from microgridctl import data as bundled
+from microgridctl.netmodel import LoadArrays
+from microgridctl.powerflow import VoltageProfile, solve_algebraic
 
 
 def make_case(buses, lines, comm_edges, gamma_deg=15.0, f0=50.0):
@@ -38,12 +41,34 @@ def line(f, t, R=0.0, X=0.1, B_sh=0.0, I_max=None):
     return rec
 
 
+def flat_start(case, x_I):
+    """Full-length (theta, E) work arrays: the inverters at the interleaved
+    [theta_i, E_i, ...] pairs of x_I, every load bus flat (0, 1)."""
+    theta, E = np.zeros(case.n), np.ones(case.n)
+    inv = list(case.inverter_ids)
+    theta[inv], E[inv] = x_I[0::2], x_I[1::2]
+    return theta, E
+
+
+def solved_profile(case, x_I):
+    """The profile with the inverters at x_I and the load buses solved from flat."""
+    theta, E = flat_start(case, x_I)
+    solve_algebraic(mg.build_admittance(case), theta, E, case.load_ids,
+                    LoadArrays.of(case.loads(), case.load_ids))
+    return VoltageProfile(theta=theta, E=E)
+
+
 # Scenario texts that must fail with ParseError ...
 MALFORMED_SCENARIOS = {
     "load_step_without_bus": '{"events": [{"t": 1.0, "kind": "load_step", "dP": 0.01}]}',
     "edge_not_a_pair": '{"events": [{"t": 1.0, "kind": "comm_loss", "edge": 5}]}',
     "top_level_list": '[{"t": 1.0, "kind": "load_step", "bus": 9}]',
     "dt_not_a_number": '{"sim": {"dt": "x", "t_end": 1.0}}',
+    "bus_fraction": '{"events": [{"t": 1.0, "kind": "load_step", "bus": 9.7, "dP": 0.01}]}',
+    "bus_boolean": '{"events": [{"t": 1.0, "kind": "der_loss", "bus": true}]}',
+    "edge_end_fraction": '{"events": [{"t": 1.0, "kind": "comm_loss", "edge": [0, 1.5]}]}',
+    "record_stride_fraction": '{"sim": {"dt": 0.01, "t_end": 1.0, "record_stride": 2.5}}',
+    "record_stride_boolean": '{"sim": {"dt": 0.01, "t_end": 1.0, "record_stride": true}}',
 }
 # ... and with ValidationError.
 NON_FINITE_SCENARIOS = {

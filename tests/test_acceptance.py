@@ -34,7 +34,7 @@ from microgridctl.sim import (
     write_trace_csv,
 )
 
-from conftest import inverter, line, make_case
+from conftest import inverter, line, make_case, solved_profile
 
 F0 = 50.0
 FREQ_BAND = (49.7, 50.3)
@@ -125,9 +125,8 @@ def test_acceptance_02_equilibrium_equivalence(case14, gains14, loadstep_run, Y1
     assert worst < 1e-12
 
     trace, _ = loadstep_run
-    x_end = VoltageProfile(theta=trace.theta[-1], E=trace.E[-1])
-    inj = mg.injections(case14, Y14, x_end)
-    xdot_end, _ = control_derivative(state, inj.P[inv], inj.Q[inv], x_end.E[inv])
+    P, Q = injections_raw(Y14, trace.theta[-1], trace.E[-1])
+    xdot_end, _ = control_derivative(state, P[inv], Q[inv], trace.E[-1][inv])
     assert np.linalg.norm(xdot_end) < 1e-8  # it is a simulated steady state
     assert trace.sharing_P[-1] < 1e-6
     assert trace.sharing_Q[-1] < 1e-6
@@ -290,7 +289,7 @@ def test_acceptance_10_steady_state_oracle(triangle_case):
     """Criterion 10: simulated steady state matches an independent root finder."""
     Y = mg.build_admittance(triangle_case)
     gains = mg.GainSet(blocks={0: -0.05 * np.eye(2), 1: -0.05 * np.eye(2)})
-    x_start = mg.solve_loads(triangle_case, Y, np.array([0.0, 1.02, 0.0, 0.98])).profile
+    x_start = solved_profile(triangle_case, np.array([0.0, 1.02, 0.0, 0.98]))
     scn = parse_scenario(json.dumps({
         "events": [], "sim": {"t_end": 40.0, "dt": 0.005, "record_stride": 100},
     }), triangle_case)

@@ -12,7 +12,6 @@ from microgridctl import certify
 from microgridctl import data as bundled
 from microgridctl.certify import (
     BlockBounds,
-    CapacityBox,
     EIG_TOL,
     CertificateError,
     IntervalHull,
@@ -487,9 +486,7 @@ def test_synthesize_on_separated_pair(separated_pair_case):
 def test_stage1_scalar_hull_returns_negative_definite_direction(separated_pair_case):
     hull = _unit_hull([[0.5 * np.eye(2), 2.0 * np.eye(2)],
                        [0.5 * np.eye(2), 2.0 * np.eye(2)]], [(0,), (1,)])
-    box = CapacityBox.default_from_case(separated_pair_case)
-    gains = stage1_gains(separated_pair_case, hull, (0.3 * 2 * math.pi, 0.05), box,
-                         iters=80)
+    gains = stage1_gains(separated_pair_case, hull, iters=80)
     for K in gains.blocks.values():
         sym = K + K.T
         assert np.linalg.eigvalsh(sym)[-1] < 0.0
@@ -500,9 +497,29 @@ def test_stage1_scalar_hull_returns_negative_definite_direction(separated_pair_c
 def test_stage1_clean_failure_on_sign_indefinite_hull(separated_pair_case):
     D = np.array([[1.0, 0.2], [-0.1, 0.8]])
     hull = _unit_hull([[D, -D], [D, -D]], [(0,), (1,)])
-    box = CapacityBox.default_from_case(separated_pair_case)
     with pytest.raises(SynthesisError, match="stage 1"):
-        stage1_gains(separated_pair_case, hull, (0.3 * 2 * math.pi, 0.05), box, iters=40)
+        stage1_gains(separated_pair_case, hull, iters=40)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def test_stage1_is_frozen(separated_pair_case):
+    """Stage 1 and the two-stage synthesis give, bit for bit, the gains and
+    certificate recorded when the capacity box and the rate limits were
+    arguments (passed their default values)."""
+    gains = stage1_gains(separated_pair_case, build_hull(separated_pair_case), iters=80)
+    blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
+    assert _digest(*blocks, [gains.theta_dot_max, gains.E_dot_max]) == (
+        "70c22998eee71c01f79c8e213b39ee899ba95def3cd697f8fb8c084a9eb7edda")
+    gains, cert = certify.synthesize_gains(separated_pair_case, stage1_iters=120)
+    blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
+    assert _digest(*blocks, cert.U, [cert.eps, cert.xi, cert.zeta, cert.d]) == (
+        "6e6c1999eb4c4db09c4e4db67d15b5d39549fed02bdb79fec28cc3db46354876")
 
 
 def test_certificate_for_infeasible_gains_raises(separated_pair_case):

@@ -223,6 +223,14 @@ def _ranges(text):
     return argv
 
 
+def _scenario(text):
+    def argv(tmp_path):
+        path = tmp_path / "scen.json"
+        path.write_text(text)
+        return ["simulate", CASE, GAINS, str(path)]
+    return argv
+
+
 BAD_INPUTS = {
     "metrics_non_numeric_cell": _non_numeric_cell,
     "metrics_without_t_column": _no_t_column,
@@ -230,6 +238,7 @@ BAD_INPUTS = {
     "ranges_top_level_list": _ranges("[1, 2]"),
     "ranges_non_integer_bus": _ranges('{"P": {"x": [0.0, 1.0]}}'),
     "check_case_on_a_directory": lambda tmp_path: ["check-case", str(tmp_path)],
+    "simulate_too_many_steps": _scenario('{"sim": {"t_end": 1e12, "dt": 0.005}}'),
 }
 
 

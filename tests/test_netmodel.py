@@ -213,6 +213,30 @@ def _case_text(bus_patch=None, line_patch=None, load=None):
                        "params": {"gamma_deg": 15.0, "f0_hz": 50.0}})
 
 
+NON_INTEGRAL_IDS = {
+    "bus_id_fraction": lambda doc: doc["buses"][1].update(id=1.5),
+    "bus_id_boolean": lambda doc: doc["buses"][1].update(id=True),
+    "line_from_fraction": lambda doc: doc["lines"][0].update({"from": 0.5}),
+    "line_to_boolean": lambda doc: doc["lines"][0].update(to=False),
+    "comm_edge_end_fraction": lambda doc: doc.update(comm_edges=[[0, 1.5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGRAL_IDS))
+def test_non_integral_id_is_parse_error(name):
+    doc = json.loads(_case_text())
+    NON_INTEGRAL_IDS[name](doc)
+    with pytest.raises(mg.ParseError, match="must be an integer"):
+        mg.parse_case(json.dumps(doc))
+
+
+def test_integral_float_ids_are_accepted():
+    doc = json.loads(_case_text())
+    doc["lines"][0]["from"] = 0.0
+    doc["comm_edges"] = [[0.0, 1.0]]
+    assert mg.parse_case(json.dumps(doc)) == mg.parse_case(_case_text())
+
+
 def test_constant_power_load_without_p_is_parse_error():
     with pytest.raises(mg.ParseError):
         mg.parse_case(_case_text(load={"kind": "constant_power", "Q": 0.05}))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import microgridctl as mg
 from microgridctl.netmodel import LoadArrays
 from microgridctl.powerflow import (
+    NEWTON_TOL,
     NewtonError,
     VoltageProfile,
     full_jacobian,
@@ -18,7 +19,7 @@ from microgridctl.powerflow import (
 )
 from microgridctl import powerflow
 
-from conftest import inverter, line, make_case, pq_load, z_load
+from conftest import flat_start, inverter, line, make_case, pq_load, z_load
 
 
 def fd_jacobians(case, Y, x, h=1e-6):
@@ -60,26 +61,16 @@ def rel_err(a, b):
 
 def test_flat_lossless_two_bus_zero_injections(two_bus_inductive):
     Y = mg.build_admittance(two_bus_inductive)
-    inj = mg.injections(two_bus_inductive, Y, VoltageProfile.flat(2))
-    assert np.abs(inj.P).max() < 1e-15
-    assert np.abs(inj.Q).max() < 1e-15
+    P, Q = injections_raw(Y, np.zeros(2), np.ones(2))
+    assert np.abs(P).max() < 1e-15
+    assert np.abs(Q).max() < 1e-15
 
 
 def test_two_bus_closed_form_power_transfer(two_bus_inductive):
     Y = mg.build_admittance(two_bus_inductive)
     delta = 0.17
-    x = VoltageProfile(theta=np.array([delta, 0.0]), E=np.array([1.03, 0.97]))
-    inj = mg.injections(two_bus_inductive, Y, x)
-    assert math.isclose(inj.P[0], 1.03 * 0.97 * math.sin(delta), rel_tol=1e-12)
-
-
-def test_s_vector_layout(triangle_case):
-    Y = mg.build_admittance(triangle_case)
-    x = VoltageProfile(theta=np.array([0.02, -0.01, 0.0]), E=np.array([1.0, 1.01, 0.99]))
-    inj = mg.injections(triangle_case, Y, x)
-    assert inj.S_I.shape == (4,)
-    assert math.isclose(inj.S_I[0], inj.P[0] / 1.0)
-    assert math.isclose(inj.S_I[3], inj.Q[1] / 0.25)
+    P, _ = injections_raw(Y, np.array([delta, 0.0]), np.array([1.03, 0.97]))
+    assert math.isclose(P[0], 1.03 * 0.97 * math.sin(delta), rel_tol=1e-12)
 
 
 # -- Jacobians -------------------------------------------------------------------
@@ -127,11 +118,11 @@ def test_zero_load_flat_fixed_point():
         [],
     )
     Y = mg.build_admittance(case)
-    x_I = np.array([0.0, 1.0])
-    result = mg.solve_loads(case, Y, x_I)
-    assert result.iterations == 0
-    assert np.abs(result.profile.theta).max() < 1e-12
-    assert np.abs(result.profile.E - 1.0).max() < 1e-12
+    theta, E = flat_start(case, np.array([0.0, 1.0]))
+    loads = LoadArrays.of(case.loads(), case.load_ids)
+    assert solve_algebraic(Y, theta, E, case.load_ids, loads) == 0
+    assert np.abs(theta).max() < 1e-12
+    assert np.abs(E - 1.0).max() < 1e-12
 
 
 def brute_force_load_point(case, Y, x_I, span=0.35, n_grid=61):
@@ -141,11 +132,7 @@ def brute_force_load_point(case, Y, x_I, span=0.35, n_grid=61):
     only, run on the single load bus of the triangle fixture.
     """
     (load_id,) = case.load_ids
-    theta = np.zeros(case.n)
-    E = np.ones(case.n)
-    inv = list(case.inverter_ids)
-    theta[inv] = x_I[0::2]
-    E[inv] = x_I[1::2]
+    theta, E = flat_start(case, x_I)
     loads = LoadArrays.of(case.loads(), [load_id])
 
     def resid(th_l, e_l):
@@ -179,42 +166,52 @@ def brute_force_load_point(case, Y, x_I, span=0.35, n_grid=61):
 def test_triangle_load_solve_matches_grid_oracle(triangle_case):
     Y = mg.build_admittance(triangle_case)
     x_I = np.array([0.03, 1.01, -0.01, 0.99])
-    result = mg.solve_loads(triangle_case, Y, x_I)
-    assert result.residual <= 1e-10
+    theta, E = flat_start(triangle_case, x_I)
+    loads = LoadArrays.of(triangle_case.loads(), [2])
+    solve_algebraic(Y, theta, E, [2], loads)
+    assert np.abs(kcl_residual(Y, theta, E, [2], loads)).max() <= NEWTON_TOL
     oracle = brute_force_load_point(triangle_case, Y, x_I)
-    assert abs(result.profile.theta[2] - oracle[0]) < 1e-6
-    assert abs(result.profile.E[2] - oracle[1]) < 1e-6
+    assert abs(theta[2] - oracle[0]) < 1e-6
+    assert abs(E[2] - oracle[1]) < 1e-6
 
 
 def test_14bus_base_load_solve(case14, Y14):
     x_I = np.zeros(2 * case14.n_inverters)
     x_I[1::2] = 1.0
-    result = mg.solve_loads(case14, Y14, x_I)
-    assert result.residual <= 1e-10
-    E_load = result.profile.E[list(case14.load_ids)]
-    assert np.all(E_load > 0.9) and np.all(E_load < 1.1)
+    theta, E = flat_start(case14, x_I)
+    load = list(case14.load_ids)
+    loads = LoadArrays.of(case14.loads(), load)
+    solve_algebraic(Y14, theta, E, load, loads)
+    assert np.abs(kcl_residual(Y14, theta, E, load, loads)).max() <= NEWTON_TOL
+    assert np.all(E[load] > 0.9) and np.all(E[load] < 1.1)
     # load-bus injections equal the negated demands at the solved voltages
-    inj = mg.injections(case14, Y14, result.profile)
-    for i in case14.load_ids:
-        pd, qd = case14.buses[i].load.demand(result.profile.E[i])
-        assert abs(inj.P[i] + pd) < 1e-9
-        assert abs(inj.Q[i] + qd) < 1e-9
+    P, Q = injections_raw(Y14, theta, E)
+    for i in load:
+        pd, qd = case14.buses[i].load.demand(E[i])
+        assert abs(P[i] + pd) < 1e-9
+        assert abs(Q[i] + qd) < 1e-9
 
 
-def test_solve_loads_warm_start_never_slower(case14, Y14):
+def test_solve_algebraic_warm_start_never_slower(case14, Y14):
     x_I = np.zeros(2 * case14.n_inverters)
     x_I[1::2] = 1.0
-    cold = mg.solve_loads(case14, Y14, x_I)
+    load = list(case14.load_ids)
+    loads = LoadArrays.of(case14.loads(), load)
+    cold_theta, cold_E = flat_start(case14, x_I)
+    solve_algebraic(Y14, cold_theta, cold_E, load, loads)
     # nearby inverter states, warm-started from the previous solution
+    inv = list(case14.inverter_ids)
     for shift in (0.002, 0.005, 0.01):
         x_I2 = x_I.copy()
         x_I2[0::2] += shift
-        warm = mg.solve_loads(case14, Y14, x_I2, x_L_guess=cold.x_L)
-        flat = mg.solve_loads(case14, Y14, x_I2)
-        assert warm.iterations <= flat.iterations
+        warm_theta, warm_E = cold_theta.copy(), cold_E.copy()
+        warm_theta[inv] = x_I2[0::2]
+        warm = solve_algebraic(Y14, warm_theta, warm_E, load, loads)
+        flat = solve_algebraic(Y14, *flat_start(case14, x_I2), load, loads)
+        assert warm <= flat
 
 
-def test_solve_loads_nonconvergence_raises():
+def test_solve_algebraic_nonconvergence_raises():
     case = make_case(
         [inverter(0), pq_load(1, P=60.0, Q=30.0)],  # far beyond deliverable power
         [line(0, 1, R=0.0, X=0.5)],
@@ -222,7 +219,8 @@ def test_solve_loads_nonconvergence_raises():
     )
     Y = mg.build_admittance(case)
     with pytest.raises(NewtonError) as err:
-        mg.solve_loads(case, Y, np.array([0.0, 1.0]))
+        solve_algebraic(Y, *flat_start(case, np.array([0.0, 1.0])), [1],
+                        LoadArrays.of(case.loads(), [1]))
     assert err.value.residual is not None
 
 

@@ -9,8 +9,15 @@ from microgridctl import powerflow, sim
 from microgridctl.contingency import FaultEvent, OperatingCondition, apply_event
 from microgridctl.controller import control_derivative
 from microgridctl.netmodel import LoadArrays
-from microgridctl.powerflow import NewtonError, VoltageProfile, injections_raw, kcl_residual
+from microgridctl.powerflow import (
+    NEWTON_TOL,
+    NewtonError,
+    VoltageProfile,
+    injections_raw,
+    kcl_residual,
+)
 from microgridctl.sim import (
+    MAX_STEPS,
     SimConfig,
     SimulationError,
     _Engine,
@@ -19,12 +26,18 @@ from microgridctl.sim import (
     read_trace_csv,
     run_scenario,
     solve_equilibrium,
-    step,
     velocity_ratio_violations,
     write_trace_csv,
 )
 
-from conftest import MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS, inverter, line, make_case
+from conftest import (
+    MALFORMED_SCENARIOS,
+    NON_FINITE_SCENARIOS,
+    inverter,
+    line,
+    make_case,
+    solved_profile,
+)
 
 
 def scenario_of(case, events, t_end=1.0, dt=0.005, stride=1):
@@ -68,7 +81,7 @@ def test_empty_scenario_from_solved_equilibrium_is_constant(case14, Y14, gains14
 def test_triangle_sharing_error_strictly_decreases(triangle_case):
     Y = mg.build_admittance(triangle_case)
     gains = mg.GainSet(blocks={0: -0.05 * np.eye(2), 1: -0.05 * np.eye(2)})
-    x0 = mg.solve_loads(triangle_case, Y, np.array([0.0, 1.02, 0.0, 0.98])).profile
+    x0 = solved_profile(triangle_case, np.array([0.0, 1.02, 0.0, 0.98]))
     scn = scenario_of(triangle_case, [], t_end=0.06, dt=5e-4, stride=1)
     tr = run_scenario(triangle_case, gains, scn, Y=Y, initial=x0)
     first = tr.sharing_P[:101]
@@ -77,13 +90,13 @@ def test_triangle_sharing_error_strictly_decreases(triangle_case):
 
 
 def test_step_single_advance_matches_run(case14, Y14, gains14):
-    cond = OperatingCondition.initial(case14)
-    x0 = solve_equilibrium(case14, Y14, cond)
-    cfg = SimConfig(dt=0.005, t_end=0.005)
-    x1 = step(case14, gains14, cond, x0, cfg, Y=Y14)
+    x0 = solve_equilibrium(case14, Y14)
+    tr = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.005, dt=0.005), Y=Y14,
+                      initial=x0)
+    assert tr.n_rows == 2
     # at equilibrium the derivative is ~0: the step stays put to solver tolerance
-    assert np.abs(x1.theta - x0.theta).max() < 1e-9
-    assert np.abs(x1.E - x0.E).max() < 1e-9
+    assert np.abs(tr.theta[-1] - x0.theta).max() < 1e-9
+    assert np.abs(tr.E[-1] - x0.E).max() < 1e-9
 
 
 def test_rate_limits_hold_on_recorded_series(case14, Y14, gains14):
@@ -106,7 +119,7 @@ def test_rate_limits_hold_on_recorded_series(case14, Y14, gains14):
 def test_rotating_frame_invariance(triangle_case):
     Y = mg.build_admittance(triangle_case)
     gains = mg.GainSet(blocks={0: -0.05 * np.eye(2), 1: -0.05 * np.eye(2)})
-    x0 = mg.solve_loads(triangle_case, Y, np.array([0.0, 1.02, 0.0, 0.98])).profile
+    x0 = solved_profile(triangle_case, np.array([0.0, 1.02, 0.0, 0.98]))
     shift = 0.4
     x0s = VoltageProfile(theta=x0.theta + shift, E=x0.E)
     scn = scenario_of(triangle_case, [], t_end=0.5, dt=0.005, stride=5)
@@ -180,10 +193,10 @@ def test_event_between_grid_points_applies_at_next_step(case14, Y14, gains14):
 
 
 def test_dt_halving_recovers_from_transient_newton_failure(case14, Y14, gains14):
-    cfg = SimConfig(dt=0.01, t_end=0.01)
+    dt = 0.01
     cond = OperatingCondition.initial(case14)
     x0 = solve_equilibrium(case14, Y14, cond)
-    eng = _Engine(case14, gains14, cfg, Y14, cond, x0.theta, x0.E)
+    eng = _Engine(case14, gains14, Y14, cond, x0.theta, x0.E)
 
     calls = {"n": 0}
     original = eng._try_step
@@ -195,13 +208,13 @@ def test_dt_halving_recovers_from_transient_newton_failure(case14, Y14, gains14)
         return original(dt)
 
     eng._try_step = flaky
-    eng.advance(cfg.dt)  # two failures then halved steps succeed
+    eng.advance(dt)  # two failures then halved steps succeed
     assert calls["n"] > 2
 
-    eng2 = _Engine(case14, gains14, cfg, Y14, cond, x0.theta, x0.E)
+    eng2 = _Engine(case14, gains14, Y14, cond, x0.theta, x0.E)
     eng2._try_step = lambda dt: (_ for _ in ()).throw(NewtonError("always"))
     with pytest.raises(SimulationError, match="halvings"):
-        eng2.advance(cfg.dt)
+        eng2.advance(dt)
 
 
 def test_scenario_parse_sorts_and_validates(case14):
@@ -237,6 +250,14 @@ def test_scenario_rejects_unknown_keys(text, key):
 def test_step_count_must_be_finite():
     with pytest.raises(mg.ValidationError, match="t_end"):
         parse_scenario('{"sim": {"t_end": 1e308, "dt": 0.005}}')
+
+
+def test_step_count_is_bounded():
+    assert SimConfig(dt=0.5, t_end=0.5 * MAX_STEPS).t_end == 0.5 * MAX_STEPS
+    with pytest.raises(mg.ValidationError, match="steps"):
+        SimConfig(dt=0.5, t_end=0.5 * (MAX_STEPS + 1))
+    with pytest.raises(mg.ValidationError, match="steps"):
+        SimConfig(dt=0.005, t_end=1e12)
 
 
 def test_velocity_check_skips_event_intervals(case14, Y14, gains14):
@@ -343,22 +364,25 @@ def test_mixed_case_keeps_newton_for_nonlinear_buses(mixed_case):
     assert stats["eliminated_buses"] == [2, 2, 2]  # buses 3 and 4 throughout
     assert tr.newton_iters.sum() > 0
     assert stats["newton_iters"] >= tr.newton_iters.sum()
-    assert kcl_per_row(mixed_case, Y, tr, scn.events).max() <= scn.config.newton_tol
+    assert kcl_per_row(mixed_case, Y, tr, scn.events).max() <= NEWTON_TOL
     assert np.isnan(tr.f_inv[-1, 2]) and tr.P_inv[-1, 2] == pytest.approx(-0.05, abs=1e-9)
 
 
 def test_step_returns_full_profile_satisfying_kcl(mixed_case):
     Y = mg.build_admittance(mixed_case)
     x0 = solve_equilibrium(mixed_case, Y)
-    lost = FaultEvent(time=0.0, kind="der_loss", bus=2, residual=mg.Load.constant_power(0.05, 0.02))
-    cfg = SimConfig(dt=0.005, t_end=0.005)
-    for cond in (OperatingCondition.initial(mixed_case),
-                 apply_event(mixed_case, OperatingCondition.initial(mixed_case), lost)):
-        x1 = step(mixed_case, mixed_gains(), cond, x0, cfg, Y=Y)
-        assert x1.theta.shape == x1.E.shape == (mixed_case.n,)
+    lost = {"t": 0.0, "kind": "der_loss", "bus": 2, "residual": {"P": 0.05, "Q": 0.02}}
+    for events in ([], [lost]):
+        scn = scenario_of(mixed_case, events, t_end=0.005, dt=0.005)
+        tr = run_scenario(mixed_case, mixed_gains(), scn, Y=Y, initial=x0)
+        assert tr.n_rows == 2 and tr.theta.shape == tr.E.shape == (2, mixed_case.n)
+        cond = OperatingCondition.initial(mixed_case)
+        for ev in scn.events:
+            cond = apply_event(mixed_case, cond, ev)
         alg = list(cond.algebraic_ids(mixed_case))
-        g = kcl_residual(Y, x1.theta, x1.E, alg, LoadArrays.of(cond.effective_loads(mixed_case), alg))
-        assert np.abs(g).max() <= cfg.newton_tol
+        g = kcl_residual(Y, tr.theta[-1], tr.E[-1], alg,
+                         LoadArrays.of(cond.effective_loads(mixed_case), alg))
+        assert np.abs(g).max() <= NEWTON_TOL
 
 
 def test_reduced_engine_matches_full_network(mixed_case):
@@ -370,7 +394,7 @@ def test_reduced_engine_matches_full_network(mixed_case):
     shift = 3.3  # puts every angle past pi
     full = []
     for s in (0.0, shift):
-        eng = _Engine(mixed_case, mixed_gains(), SimConfig(), Y, cond, x0.theta + s, x0.E)
+        eng = _Engine(mixed_case, mixed_gains(), Y, cond, x0.theta + s, x0.E)
         eng.resolve_algebraic()
         theta, E = eng.full()
         P, Q = injections_raw(Y, theta, E)
@@ -384,7 +408,7 @@ def test_line_search_failure_halves_dt(monkeypatch, mixed_case):
     Y = mg.build_admittance(mixed_case)
     cond = OperatingCondition.initial(mixed_case)
     x0 = solve_equilibrium(mixed_case, Y, cond)
-    eng = _Engine(mixed_case, mixed_gains(), SimConfig(), Y, cond, x0.theta, x0.E)
+    eng = _Engine(mixed_case, mixed_gains(), Y, cond, x0.theta, x0.E)
     before = eng.full()
     calls = {"n": 0}
 
