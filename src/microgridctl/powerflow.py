@@ -7,6 +7,12 @@ of the load-bus KCL equations, the coupling-ratio bound between load-bus
 and inverter-bus state velocities, and the classical existence-condition
 checker.
 
+Two forms of the Jacobian coexist.  The certificate side (``jacobians``,
+``kcl_jacobian_parts``) and the equilibrium solve take the real, polar
+form from ``full_jacobian``.  The simulator's load-bus Newton sets up a
+``LoadBusKCL`` once per operating condition and differentiates in complex
+form over the algebraic columns only.
+
 Sign conventions: injections are generation-positive, load demand is
 consumption-positive, so the KCL residual at a load bus reads
 ``P_i(x) + P_demand_i(E_i) = 0`` (and the reactive analogue).
@@ -203,7 +209,11 @@ def damped_newton(residual, jacobian, get, put, tol: float, max_iter: int, what:
 
 
 def kcl_residual(Y: AdmittanceMatrix, theta, E, alg_ids, loads: LoadArrays):
-    """Stacked KCL residual [P_i + Pd_i(E_i), Q_i + Qd_i(E_i)] over alg_ids."""
+    """Stacked KCL residual [P_i + Pd_i(E_i), Q_i + Qd_i(E_i)] over alg_ids.
+
+    The residual of ``LoadBusKCL`` evaluated from scratch on the whole
+    network, for checking a profile once rather than inside a Newton loop.
+    """
     P, Q = injections_raw(Y, theta, E)
     pd, qd = loads.demand(E[alg_ids])
     g = np.empty(2 * len(alg_ids))
@@ -226,34 +236,101 @@ def kcl_matrix(blocks, alg_ids, E, loads: LoadArrays, lead=()):
     return G
 
 
-def solve_algebraic(
-    Y: AdmittanceMatrix,
-    theta: np.ndarray,
-    E: np.ndarray,
-    alg_ids,
-    loads: LoadArrays,
-):
-    """Newton solve of the KCL equations at the algebraic buses, in place.
+class LoadBusKCL:
+    """The KCL equations of a fixed set of algebraic buses, set up once.
 
-    theta/E are full-length work arrays; only the alg_ids entries move, and
-    ``loads`` lists their loads in the same order.  Returns the iteration
+    ``alg_ids`` are the buses' positions in Y and in the work arrays that
+    ``solve_algebraic`` moves; ``loads`` lists their loads in the same
+    order.  Holds the rows ``Y_a`` of Y over those buses, the conjugate of
+    their own block ``Y_aa``, the loads' complex demand coefficients, and
+    preallocated work buffers ending in the 2m x 2m Newton matrix.
+    ``residual`` evaluates V = E e^{j theta}, I_a = Y_a V and
+    S_a = V_a conj(I_a) once per iterate and keeps V_a, S_a and E_a;
+    ``jacobian`` differentiates at that iterate in complex form, over the
+    algebraic columns only, as MATPOWER's ``dSbus_dV`` does (Zimmerman,
+    Murillo-Sanchez & Thomas, IEEE Trans. Power Systems 26(1), 2011).
+    """
+
+    def __init__(self, Y: AdmittanceMatrix, alg_ids, loads: LoadArrays):
+        alg = np.asarray(alg_ids, dtype=int)
+        m = self.m = len(alg)
+        # a contiguous run of positions is a slice, so theta[sel] is a view
+        contiguous = m and np.array_equal(alg, np.arange(alg[0], alg[0] + m))
+        self.sel = slice(int(alg[0]), int(alg[0]) + m) if contiguous else alg
+        self.Y_a = Y.Y[alg]
+        # Y.Y[alg][:, alg] comes out Fortran-ordered; row order keeps B's product fast
+        self.conj_Y_aa = np.ascontiguousarray(np.conj(self.Y_a[:, alg]))
+        # demand Pd + j Qd = (P + jQ) + (G + jB) E^2, and its E-derivative
+        self.demand_const = loads.P + 1j * loads.Q
+        self.demand_coef = loads.G + 1j * loads.B
+        self.d_demand = 2.0 * self.demand_coef
+        # Work buffers with writable views of their diagonals.  Each buffer
+        # is allocated C-contiguous, so reshape(-1) is a view; were it a
+        # copy (as it is of a Fortran-ordered array), diagonal writes
+        # through it would be lost.
+        self.B = np.empty((m, m), dtype=complex)
+        self.B_diag = self.B.reshape(-1)[:: m + 1]
+        # dS[i, k] = [dS_i/dtheta_k, dS_i/dE_k]
+        self.dS = np.empty((m, m, 2), dtype=complex)
+        self.dS_dtheta, self.dS_dE = self.dS[..., 0], self.dS[..., 1]
+        self.dS_dtheta_diag = self.dS.reshape(-1)[0 :: 2 * (m + 1)]
+        self.dS_dE_diag = self.dS.reshape(-1)[1 :: 2 * (m + 1)]
+        # the Newton matrix, rows P_i, Q_i and columns theta_k, E_k interleaved:
+        # J[2i + r, 2k + c] is part r (real, imaginary) of dS[i, k, c]
+        self.J = np.empty((2 * m, 2 * m))
+        self.J_view = self.J.reshape(m, 2, m, 2)
+        self.dS_view = self.dS.view(float).reshape(m, m, 2, 2).transpose(0, 3, 1, 2)
+
+    def residual(self, theta, E):
+        """Stacked [P_i + Pd_i(E_i), Q_i + Qd_i(E_i)]; keeps V_a, S_a, E_a."""
+        V = E * np.exp(1j * theta)
+        self.V_a = V[self.sel]
+        self.E_a = E_a = E[self.sel].copy()
+        self.S_a = self.V_a * np.conj(self.Y_a.dot(V))
+        # complex128 viewed as float64 is the interleaved [real, imaginary] pairs
+        return (self.S_a + (self.demand_const + self.demand_coef * E_a * E_a)).view(float)
+
+    def jacobian(self):
+        """Newton matrix at the last ``residual``'s iterate, in a buffer the next call reuses.
+
+        With B = diag(V_a) conj(Y_aa diag(V_a)):
+        dS/dtheta_a = j (diag(S_a) - B), dS/dE_a = (B + diag(S_a)) diag(E_a)^-1,
+        and the loads add 2 G E and 2 B E on the E diagonal.
+        """
+        V_a, B = self.V_a, self.B
+        np.multiply(V_a[:, None], self.conj_Y_aa * np.conj(V_a), out=B)
+        np.multiply(B, -1j, out=self.dS_dtheta)
+        self.dS_dtheta_diag += 1j * self.S_a
+        self.B_diag += self.S_a
+        np.divide(B, self.E_a, out=self.dS_dE)
+        self.dS_dE_diag += self.d_demand * self.E_a
+        self.J_view[...] = self.dS_view
+        return self.J
+
+
+def solve_algebraic(kcl: LoadBusKCL, theta: np.ndarray, E: np.ndarray):
+    """Newton solve of ``kcl``'s equations, in place on the work arrays theta/E.
+
+    Only the entries at ``kcl``'s positions move.  Returns the iteration
     count.  Raises NewtonError as ``damped_newton`` does; the work arrays
     then hold the last accepted iterate.  Magnitudes stay at or above 1e-6.
     """
-    if not len(alg_ids):
+    if not kcl.m:
         return 0
-    alg = np.asarray(alg_ids, dtype=int)
+    sel = kcl.sel
 
-    def put(v):
-        theta[alg] = v[0::2]
-        E[alg] = np.maximum(v[1::2], 1e-6)
+    def get():  # the iterate as interleaved [theta_i, E_i, ...]
+        u = np.empty(2 * kcl.m)
+        u[0::2] = theta[sel]
+        u[1::2] = E[sel]
+        return u
 
-    return damped_newton(
-        lambda: kcl_residual(Y, theta, E, alg, loads),
-        lambda: kcl_matrix(full_jacobian(Y, theta, E, alg), alg, E, loads),
-        lambda: np.stack((theta[alg], E[alg]), axis=1).ravel(),
-        put, NEWTON_TOL, NEWTON_MAX_ITER, "load solve",
-    )
+    def put(u):
+        theta[sel] = u[0::2]
+        E[sel] = np.maximum(u[1::2], 1e-6)
+
+    return damped_newton(lambda: kcl.residual(theta, E), kcl.jacobian, get, put,
+                         NEWTON_TOL, NEWTON_MAX_ITER, "load solve")
 
 
 def kron_reduce(Y: AdmittanceMatrix, keep, shunts: dict[int, complex]):

@@ -7,9 +7,10 @@ condition, every algebraic bus whose load is linear in V (constant
 impedance, or zero constant power such as a lost DER's open breaker) is
 folded into the admittance as a shunt and Kron-eliminated, so its voltage
 is an exact linear function of the kept buses.  Only the remaining
-nonlinear buses are re-solved by Newton at every stage, with warm starts;
-without any, a stage is one injection evaluation and one call of the
-control law, integrated on a flat ``[theta; E]`` work array.  Scenario
+nonlinear buses are re-solved by Newton at every stage, with warm starts,
+on a ``powerflow.LoadBusKCL`` set up with the condition; without any, a
+stage is one injection evaluation and one call of the control law,
+integrated on a flat ``[theta; E]`` work array.  Scenario
 events reconfigure the operating condition between steps.  Traces are
 deterministic: fixed step, fixed iteration order, no wall-clock anywhere.
 Their columns, in memory and in the CSV, follow one table, ``TRACE_COLUMNS``.
@@ -34,6 +35,7 @@ from .netmodel import (
     json_int,
 )
 from .powerflow import (
+    LoadBusKCL,
     NewtonError,
     VoltageProfile,
     damped_newton,
@@ -375,10 +377,12 @@ class _Engine:
     """Mutable integration state over the kept buses of the current condition.
 
     ``set_condition`` Kron-eliminates the linear algebraic buses once per
-    event.  The work array ``x`` is then ``[theta; E]`` over the kept buses
-    only (active inverters first, then the nonlinear algebraic buses), with
-    views ``theta``/``E``; ``x[ia]`` is the inverters' part, all of ``x``
-    when no nonlinear bus is kept.  ``full`` recovers the whole network.
+    event and sets up ``kcl``, the KCL equations of the nonlinear ones
+    (None when none is kept).  The work array ``x`` is then ``[theta; E]``
+    over the kept buses only (active inverters first, then the nonlinear
+    algebraic buses), with views ``theta``/``E``; ``x[ia]`` is the
+    inverters' part, all of ``x`` when no nonlinear bus is kept.  ``full``
+    recovers the whole network.
     """
 
     def __init__(self, case: NetworkCase, gains: GainSet, Y, cond: OperatingCondition,
@@ -408,8 +412,8 @@ class _Engine:
         self.elim = np.asarray(sorted(shunts), dtype=int)
         self.Y_red, self.X = kron_reduce(self.Y, self.kept, shunts)
         nk = len(self.kept)
-        self.alg_pos = np.arange(n, nk)
-        self.loads = LoadArrays.of(loads, nonlinear)
+        self.kcl = (LoadBusKCL(self.Y_red, range(n, nk), LoadArrays.of(loads, nonlinear))
+                    if nonlinear else None)
         self.x = np.concatenate((np.asarray(theta, dtype=float)[self.kept],
                                  np.asarray(E, dtype=float)[self.kept]))
         self.theta, self.E = self.x[:nk], self.x[nk:]
@@ -436,10 +440,10 @@ class _Engine:
 
     def resolve_algebraic(self) -> int:
         """Newton on the nonlinear buses; nothing to do when none is kept."""
-        if not len(self.alg_pos):
+        if self.kcl is None:
             return 0
         try:
-            its = solve_algebraic(self.Y_red, self.theta, self.E, self.alg_pos, self.loads)
+            its = solve_algebraic(self.kcl, self.theta, self.E)
         except NewtonError as exc:
             self.stats["newton_iters"] += exc.iterations or 0
             raise

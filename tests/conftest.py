@@ -6,7 +6,7 @@ import pytest
 import microgridctl as mg
 from microgridctl import data as bundled
 from microgridctl.netmodel import LoadArrays
-from microgridctl.powerflow import VoltageProfile, solve_algebraic
+from microgridctl.powerflow import LoadBusKCL, VoltageProfile, solve_algebraic
 
 
 def make_case(buses, lines, comm_edges, gamma_deg=15.0, f0=50.0):
@@ -41,6 +41,17 @@ def line(f, t, R=0.0, X=0.1, B_sh=0.0, I_max=None):
     return rec
 
 
+def constant_power(case):
+    """The case with each impedance load replaced by a constant-power load
+    drawing the same power at nominal voltage (P = G, Q = B)."""
+    doc = json.loads(mg.case_to_json(case))
+    for bus in doc["buses"]:
+        ld = bus.get("load")
+        if ld is not None and ld["kind"] == "constant_impedance":
+            bus["load"] = {"kind": "constant_power", "P": ld["G"], "Q": ld["B"]}
+    return mg.parse_case(json.dumps(doc))
+
+
 def flat_start(case, x_I):
     """Full-length (theta, E) work arrays: the inverters at the interleaved
     [theta_i, E_i, ...] pairs of x_I, every load bus flat (0, 1)."""
@@ -53,8 +64,8 @@ def flat_start(case, x_I):
 def solved_profile(case, x_I):
     """The profile with the inverters at x_I and the load buses solved from flat."""
     theta, E = flat_start(case, x_I)
-    solve_algebraic(mg.build_admittance(case), theta, E, case.load_ids,
-                    LoadArrays.of(case.loads(), case.load_ids))
+    solve_algebraic(LoadBusKCL(mg.build_admittance(case), case.load_ids,
+                               LoadArrays.of(case.loads(), case.load_ids)), theta, E)
     return VoltageProfile(theta=theta, E=E)
 
 
@@ -82,6 +93,12 @@ NON_FINITE_SCENARIOS = {
 @pytest.fixture(scope="session")
 def case14():
     return bundled.bundled_case()
+
+
+@pytest.fixture(scope="session")
+def cpower14(case14):
+    """The 14-bus case with constant-power loads, so its load buses need Newton."""
+    return constant_power(case14)
 
 
 @pytest.fixture(scope="session")

@@ -8,11 +8,13 @@ import microgridctl as mg
 from microgridctl.netmodel import LoadArrays
 from microgridctl.powerflow import (
     NEWTON_TOL,
+    LoadBusKCL,
     NewtonError,
     VoltageProfile,
     full_jacobian,
     injections_raw,
     kcl_jacobian_parts,
+    kcl_matrix,
     kcl_residual,
     kron_reduce,
     solve_algebraic,
@@ -120,7 +122,7 @@ def test_zero_load_flat_fixed_point():
     Y = mg.build_admittance(case)
     theta, E = flat_start(case, np.array([0.0, 1.0]))
     loads = LoadArrays.of(case.loads(), case.load_ids)
-    assert solve_algebraic(Y, theta, E, case.load_ids, loads) == 0
+    assert solve_algebraic(LoadBusKCL(Y, case.load_ids, loads), theta, E) == 0
     assert np.abs(theta).max() < 1e-12
     assert np.abs(E - 1.0).max() < 1e-12
 
@@ -168,7 +170,7 @@ def test_triangle_load_solve_matches_grid_oracle(triangle_case):
     x_I = np.array([0.03, 1.01, -0.01, 0.99])
     theta, E = flat_start(triangle_case, x_I)
     loads = LoadArrays.of(triangle_case.loads(), [2])
-    solve_algebraic(Y, theta, E, [2], loads)
+    solve_algebraic(LoadBusKCL(Y, [2], loads), theta, E)
     assert np.abs(kcl_residual(Y, theta, E, [2], loads)).max() <= NEWTON_TOL
     oracle = brute_force_load_point(triangle_case, Y, x_I)
     assert abs(theta[2] - oracle[0]) < 1e-6
@@ -181,7 +183,7 @@ def test_14bus_base_load_solve(case14, Y14):
     theta, E = flat_start(case14, x_I)
     load = list(case14.load_ids)
     loads = LoadArrays.of(case14.loads(), load)
-    solve_algebraic(Y14, theta, E, load, loads)
+    solve_algebraic(LoadBusKCL(Y14, load, loads), theta, E)
     assert np.abs(kcl_residual(Y14, theta, E, load, loads)).max() <= NEWTON_TOL
     assert np.all(E[load] > 0.9) and np.all(E[load] < 1.1)
     # load-bus injections equal the negated demands at the solved voltages
@@ -196,9 +198,9 @@ def test_solve_algebraic_warm_start_never_slower(case14, Y14):
     x_I = np.zeros(2 * case14.n_inverters)
     x_I[1::2] = 1.0
     load = list(case14.load_ids)
-    loads = LoadArrays.of(case14.loads(), load)
+    kcl = LoadBusKCL(Y14, load, LoadArrays.of(case14.loads(), load))
     cold_theta, cold_E = flat_start(case14, x_I)
-    solve_algebraic(Y14, cold_theta, cold_E, load, loads)
+    solve_algebraic(kcl, cold_theta, cold_E)
     # nearby inverter states, warm-started from the previous solution
     inv = list(case14.inverter_ids)
     for shift in (0.002, 0.005, 0.01):
@@ -206,8 +208,8 @@ def test_solve_algebraic_warm_start_never_slower(case14, Y14):
         x_I2[0::2] += shift
         warm_theta, warm_E = cold_theta.copy(), cold_E.copy()
         warm_theta[inv] = x_I2[0::2]
-        warm = solve_algebraic(Y14, warm_theta, warm_E, load, loads)
-        flat = solve_algebraic(Y14, *flat_start(case14, x_I2), load, loads)
+        warm = solve_algebraic(kcl, warm_theta, warm_E)
+        flat = solve_algebraic(kcl, *flat_start(case14, x_I2))
         assert warm <= flat
 
 
@@ -219,26 +221,94 @@ def test_solve_algebraic_nonconvergence_raises():
     )
     Y = mg.build_admittance(case)
     with pytest.raises(NewtonError) as err:
-        solve_algebraic(Y, *flat_start(case, np.array([0.0, 1.0])), [1],
-                        LoadArrays.of(case.loads(), [1]))
+        solve_algebraic(LoadBusKCL(Y, [1], LoadArrays.of(case.loads(), [1])),
+                        *flat_start(case, np.array([0.0, 1.0])))
     assert err.value.residual is not None
 
 
 def test_line_search_exhaustion_raises(monkeypatch, triangle_case):
     Y = mg.build_admittance(triangle_case)
     calls = {"n": 0}
+    evaluate = powerflow.LoadBusKCL.residual
 
-    def growing(*args):
+    def growing(kcl, theta, E):
+        evaluate(kcl, theta, E)  # keeps the powers the Newton matrix is taken at
         calls["n"] += 1
         return np.full(2, float(calls["n"]))
 
-    monkeypatch.setattr(powerflow, "kcl_residual", growing)
+    monkeypatch.setattr(powerflow.LoadBusKCL, "residual", growing)
     theta, E = np.zeros(3), np.ones(3)
     with pytest.raises(NewtonError, match="line search") as err:
-        solve_algebraic(Y, theta, E, [2], LoadArrays.of(triangle_case.loads(), [2]))
+        solve_algebraic(LoadBusKCL(Y, [2], LoadArrays.of(triangle_case.loads(), [2])), theta, E)
     assert calls["n"] == 31  # the start plus 30 halvings
     assert err.value.residual == 1.0
     assert theta[2] == 0.0 and E[2] == 1.0  # back at the last accepted iterate
+
+
+# the algebraic positions of each case: contiguous runs and scattered or reordered ones
+KCL_KERNEL_CASES = [("mixed_case", [3, 4, 5]), ("mixed_case", [5, 3]),
+                    ("cpower14", None), ("cpower14", [8, 9, 10, 11, 12, 13])]
+
+
+@pytest.mark.parametrize("fixture, alg", KCL_KERNEL_CASES)
+def test_load_bus_newton_matrix_matches_real_form_and_finite_differences(request, fixture, alg):
+    case = request.getfixturevalue(fixture)
+    alg = list(case.load_ids) if alg is None else alg
+    Y = mg.build_admittance(case)
+    loads = LoadArrays.of(case.loads(), alg)
+    kcl = LoadBusKCL(Y, alg, loads)
+    rng = np.random.default_rng(len(alg))
+    iterates = [(rng.uniform(-0.2, 0.2, case.n), rng.uniform(0.93, 1.07, case.n)) for _ in range(2)]
+    first = None
+    for theta, E in iterates + iterates[:1]:
+        g = kcl.residual(theta, E)
+        assert np.abs(g - kcl_residual(Y, theta, E, alg, loads)).max() < 1e-14
+        J = kcl.jacobian().copy()
+        real_form = kcl_matrix(full_jacobian(Y, theta, E, alg), alg, E, loads)
+        assert np.abs(J - real_form).max() <= 1e-12 * np.abs(real_form).max()
+        if first is None:
+            first = J
+    # the buffers carry nothing from one iterate to the next
+    assert np.array_equal(J, first)
+
+    theta, E = iterates[0]
+    h = 1e-6
+    columns = []
+    for i in alg:
+        for comp in (theta, E):
+            saved = comp[i]
+            comp[i] = saved + h
+            plus = kcl.residual(theta, E).copy()
+            comp[i] = saved - h
+            minus = kcl.residual(theta, E).copy()
+            comp[i] = saved
+            columns.append((plus - minus) / (2 * h))
+    assert rel_err(first, np.column_stack(columns)).max() < 1e-6
+
+    # Every diagonal write goes through a view of a preallocated buffer: a
+    # view of a copy (as reshape/ravel make of a Fortran-ordered array) would
+    # lose the write.
+    for view, buffer in ((kcl.B_diag, kcl.B), (kcl.dS_dtheta_diag, kcl.dS),
+                         (kcl.dS_dE_diag, kcl.dS), (kcl.J_view, kcl.J)):
+        assert np.shares_memory(view, buffer)
+    assert kcl.conj_Y_aa.flags.c_contiguous and kcl.J.flags.c_contiguous
+
+
+def test_load_solve_is_quadratic_near_a_solution(cpower14):
+    """An inexact Newton matrix still converges, only in more iterations."""
+    x_I = np.zeros(2 * cpower14.n_inverters)
+    x_I[1::2] = 1.0
+    theta, E = flat_start(cpower14, x_I)
+    load = list(cpower14.load_ids)
+    kcl = LoadBusKCL(mg.build_admittance(cpower14), load, LoadArrays.of(cpower14.loads(), load))
+    solve_algebraic(kcl, theta, E)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        th, e = theta.copy(), E.copy()
+        th[load] += rng.uniform(-1e-2, 1e-2, len(load))
+        e[load] += rng.uniform(-1e-2, 1e-2, len(load))
+        assert 1 <= solve_algebraic(kcl, th, e) <= 4
+        assert np.abs(th - theta).max() < 1e-9 and np.abs(e - E).max() < 1e-9
 
 
 def test_kron_reduce_is_exact_elimination(mixed_case):

@@ -411,17 +411,42 @@ def test_line_search_failure_halves_dt(monkeypatch, mixed_case):
     eng = _Engine(mixed_case, mixed_gains(), Y, cond, x0.theta, x0.E)
     before = eng.full()
     calls = {"n": 0}
+    evaluate = powerflow.LoadBusKCL.residual
 
-    def growing(*args):
+    def growing(kcl, theta, E):
+        evaluate(kcl, theta, E)  # keeps the powers the Newton matrix is taken at
         calls["n"] += 1
         return np.full(2, float(calls["n"]))  # bus 5 is the one nonlinear bus
 
-    monkeypatch.setattr(powerflow, "kcl_residual", growing)
+    monkeypatch.setattr(powerflow.LoadBusKCL, "residual", growing)
     with pytest.raises(SimulationError, match="line search"):
         eng.advance(0.01)
     assert eng.stats["dt_halvings"] == 4
     after = eng.full()
     assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
+
+
+def test_constant_power_newton_counts_are_pinned(cpower14, gains14):
+    """Newton iteration counts of a short constant-power run, as first recorded.
+
+    A DER loss leaves a residual load, so the set of nonlinear buses grows
+    mid-run.  An inexact Newton matrix still converges and passes every KCL
+    check, but it takes more iterations, which these exact counts catch.
+    """
+    scn = scenario_of(cpower14, [
+        {"t": 0.1, "kind": "der_loss", "bus": 1, "residual": {"P": 0.03, "Q": 0.015}},
+        {"t": 0.2, "kind": "load_step", "bus": 9, "dP": 0.05, "dQ": 0.02},
+    ], t_end=0.3, dt=0.005, stride=5)
+    tr = run_scenario(cpower14, gains14, scn)
+    assert tr.meta["stats"] == {
+        "eliminated_buses": [1, 1, 1],
+        "newton_iters": 246,
+        "dt_halvings": 0,
+        "derivative_evals": 253,
+        "start": "equilibrium",
+        "start_fallback": None,
+    }
+    assert tr.newton_iters.tolist() == [0, 0, 0, 0, 3, 30, 30, 30, 33, 30, 30, 30, 30]
 
 
 def test_losing_every_inverter_is_a_simulation_error(mixed_case):
