@@ -51,6 +51,7 @@ VERTEX_BUDGET = 200_000  # largest global vertex product checked in full
 MAX_CORNER_COMBOS = 2_000_000  # largest per-block corner enumeration
 MARGIN_CHUNK = 4096  # vertices per batched eigen-solve in _margin_stack
 XI_RESOLUTION = 1e-6  # stage 2 bisects xi to this width
+ABSCISSA_TOL = 1e-6  # relative slack on the vertex spectral abscissa (certificate_for_gains)
 ZETA_SAMPLES, ZETA_SEED = 64, 2024  # interior profiles (plus flat) behind stage 2's zeta estimate
 STAGE1_MIN_MARGIN = 1e-8  # block margin stage 1 must reach
 RATE_SWEEPS = 8  # subgradient projections per gain row onto its rate slab
@@ -602,7 +603,12 @@ def _margin_stack(A_stack, U, eps, xi, zeta):
     return out
 
 
-def _below(A_last, U, eps, xi, zeta, level):
+def _u_terms(U):
+    """The U-only terms of ``_below``: ||U||_2 and U @ U."""
+    return np.linalg.norm(U, 2), U @ U
+
+
+def _below(A_last, U, eps, xi, zeta, level, u_terms=None):
     """Vertices whose margin provably lies at least EIG_TOL below ``level``.
 
     ``A_last`` holds the A11 vertices with the vertex index last, (m, m, n).
@@ -615,15 +621,18 @@ def _below(A_last, U, eps, xi, zeta, level):
     when s <= tau nothing is flagged.  tau >= EIG_TOL dominates the
     rounding of forming and factoring N (a small multiple of machine
     epsilon times ||N||) by orders of magnitude whenever ||N|| << 1e6.
+    ``u_terms`` is ``_u_terms(U)``, passed by callers that screen one U
+    many times.
     """
     m, n = U.shape[0], A_last.shape[-1]
+    norm_U, UU = _u_terms(U) if u_terms is None else u_terms
     s = eps + level
-    tau = EIG_TOL * (1.0 + np.linalg.norm(U, 2) / s) ** 2 if s > 0.0 else math.inf
+    tau = EIG_TOL * (1.0 + norm_U / s) ** 2 if s > 0.0 else math.inf
     if s <= tau:
         return np.zeros(n, dtype=bool)
     UA = (U @ A_last.reshape(m, -1)).reshape(m, m, n)
     B = UA + UA.transpose(1, 0, 2)  # N + tau I, vertex index last
-    B += ((eps * zeta ** 2 - level + tau) * np.eye(m) + xi * U + (U @ U) / s)[:, :, None]
+    B += ((eps * zeta ** 2 - level + tau) * np.eye(m) + xi * U + UU / s)[:, :, None]
     ok = np.ones(n, dtype=bool)
     for j in range(m):  # one elimination step for the whole stack; B must stay negative definite
         pivot = B[j, j]
@@ -938,13 +947,16 @@ class _VertexScreen:
         self.every = np.arange(A_stack.shape[0])
         self.last_worst = 0  # the previous worst vertex: the next refinement's first guess
         self.stats = {"margin_stacks": 0, "screened_vertices": 0, "exact_margins": 0}
+        self._U, self._U_terms = None, None  # the last U screened and its _u_terms
 
     def survivors(self, idx, U, eps, xi, zeta, level):
         """The vertices of ``idx`` the screen cannot put EIG_TOL below ``level``."""
         self.stats["margin_stacks"] += 1
         self.stats["screened_vertices"] += len(idx)
+        if self._U is None or not np.array_equal(U, self._U):
+            self._U, self._U_terms = U.copy(), _u_terms(U)
         stack = self.A_last if idx is self.every else self.A_last[:, :, idx]
-        return idx[~_below(stack, U, eps, xi, zeta, level)]
+        return idx[~_below(stack, U, eps, xi, zeta, level, self._U_terms)]
 
     def exact(self, idx, U, eps, xi, zeta):
         """Margins of the vertices ``idx``, as ``_margin_stack`` gives them."""
@@ -959,15 +971,21 @@ class _VertexScreen:
         w, V = np.linalg.eigh(np.block([[TL, U], [U, -eps * eye]]))
         return w[-1], V[:, -1]
 
-    def feasible(self, U, eps, xi, zeta) -> bool:
-        """Whether every vertex margin is nonpositive: screen at level 0,
-        then exact margins on the survivors, the first one alone."""
-        left = self.survivors(self.every, U, eps, xi, zeta, 0.0)
+    def suspects(self, idx, U, eps, xi, zeta):
+        """None when every margin of the vertices ``idx`` is nonpositive, else
+        the survivors of their level-0 screen, which hold every positive one.
+        Exact margins go to the survivors, the first one alone."""
+        left = self.survivors(idx, U, eps, xi, zeta, 0.0)
         if not len(left):
-            return True
-        if self.exact(left[:1], U, eps, xi, zeta)[0] > 0.0:
-            return False
-        return bool(np.all(self.exact(left[1:], U, eps, xi, zeta) <= 0.0))
+            return None
+        if (self.exact(left[:1], U, eps, xi, zeta)[0] > 0.0
+                or not np.all(self.exact(left[1:], U, eps, xi, zeta) <= 0.0)):
+            return left
+        return None
+
+    def feasible(self, U, eps, xi, zeta) -> bool:
+        """Whether every vertex margin is nonpositive."""
+        return self.suspects(self.every, U, eps, xi, zeta) is None
 
     def worst_vertex(self, U, eps, xi, zeta):
         """``np.argmax`` of the vertex margins, and the margin there.
@@ -981,15 +999,15 @@ class _VertexScreen:
         same argmax as the whole stack.
         """
         m = U.shape[0]
-        alive, guessed = self.every, []
+        alive, guessed = self.every, np.zeros(len(self.every), dtype=bool)
         level, k = -math.inf, self.last_worst
         for _ in range(8):
             lam, vec = self.top_pair(k, U, eps, xi, zeta)
-            guessed.append(k)
+            guessed[k] = True
             if lam > level:
                 level, u_z = lam, vec[:m]
                 alive = self.survivors(alive, U, eps, xi, zeta, level)
-            fresh = np.setdiff1d(alive, guessed)
+            fresh = alive[~guessed[alive]]
             if len(alive) <= 32 or not len(fresh):
                 break
             # only the A-dependent term of u^T M u varies across vertices
@@ -1000,10 +1018,27 @@ class _VertexScreen:
         return self.last_worst, float(margins[j])
 
 
+def _spectral_abscissa(A_stack):
+    """alpha = max_k max Re lambda(A_k), the vertex k that attains it, and
+    the slack tau_a = ABSCISSA_TOL (1 + max_k ||A_k||_F) of the degree skip
+    (see ``certificate_for_gains``)."""
+    re = np.linalg.eigvals(A_stack).real.max(axis=1)
+    k = int(np.argmax(re))
+    tol = ABSCISSA_TOL * (1.0 + float(np.linalg.norm(A_stack, axis=(1, 2)).max()))
+    return float(re[k]), k, tol
+
+
 def _search_certificate(A_stack, candidates, zeta, u_steps):
     """Stage 2's search proper: (xi, U, eps) from the best candidate U,
-    the disturbance degree halved until one certifies, and the counters."""
+    the disturbance degree halved until one certifies, the degree bound
+    -alpha and the counters.  Degrees above the bound are skipped."""
     m = A_stack.shape[1]
+    alpha, k_alpha, alpha_tol = _spectral_abscissa(A_stack)
+    if alpha >= -alpha_tol:
+        raise SynthesisError(
+            f"stage 2: vertex {k_alpha} has spectral abscissa {alpha:.3e} >= "
+            f"-{alpha_tol:.1e}; no disturbance degree can be certified"
+        )
     screen = _VertexScreen(A_stack)
 
     def descend_U(U, eps, xi, z, budget):
@@ -1025,23 +1060,44 @@ def _search_certificate(A_stack, candidates, zeta, u_steps):
         return U, screen.feasible(U, eps, xi, z)
 
     def bisect_xi(U, eps, z):
-        """Largest feasible xi for fixed (U, eps), to the stated resolution."""
-        if not screen.feasible(U, eps, 1e-12, z):
+        """Largest feasible xi for fixed (U, eps), to the stated resolution.
+
+        Margins rise with xi (M(xi) = M(0) + xi diag(U, 0)), and every xi
+        checked after an infeasible one lies below it, so each check screens
+        only the survivors of the lowest infeasible xi so far: a vertex
+        cleared there lies EIG_TOL below 0 at every lower xi.
+        """
+        suspects = screen.every
+
+        def feasible(xi):
+            nonlocal suspects
+            left = screen.suspects(suspects, U, eps, xi, z)
+            if left is None:
+                return True
+            suspects = left
+            return False
+
+        if not feasible(1e-12):
             return None
         xi_lo, xi_hi = 1e-12, 1e-6
-        while screen.feasible(U, eps, xi_hi, z) and xi_hi < 1e6:
+        while feasible(xi_hi) and xi_hi < 1e6:
             xi_lo = xi_hi
             xi_hi *= 2.0
         while xi_hi - xi_lo > XI_RESOLUTION:
             mid = 0.5 * (xi_lo + xi_hi)
-            if screen.feasible(U, eps, mid, z):
+            if feasible(mid):
                 xi_lo = mid
             else:
                 xi_hi = mid
         return xi_lo
 
     def optimize(z):
-        """Alternate xi-bisection with U improvement at a raised xi target."""
+        """Alternate xi-bisection with U improvement at a raised xi target;
+        None at once when the abscissa bound rules z out."""
+        nonlocal skipped
+        if z + alpha > alpha_tol:
+            skipped += 1
+            return None
         best = None
         for U0 in candidates:
             U = U0.copy()
@@ -1067,6 +1123,7 @@ def _search_certificate(A_stack, candidates, zeta, u_steps):
                 best = (xi, U.copy(), eps)
         return best
 
+    skipped = 0
     found = optimize(zeta)
     halvings = 0
     while found is None and halvings < 48:
@@ -1075,7 +1132,8 @@ def _search_certificate(A_stack, candidates, zeta, u_steps):
         found = optimize(zeta)
     if found is None:
         raise SynthesisError("stage 2 found no certificate at any disturbance degree")
-    return (*found, zeta, {**screen.stats, "zeta_halvings": halvings})
+    stats = {**screen.stats, "zeta_halvings": halvings, "zeta_skipped": skipped}
+    return (*found, zeta, -alpha, stats)
 
 
 def certificate_for_gains(
@@ -1101,8 +1159,30 @@ def certificate_for_gains(
     level - EIG_TOL; nothing is cleared when s <= tau) and takes exact
     margins only where the screen proves nothing (``_VertexScreen``), so the
     certificate is the one exact margins over every vertex give.
-    ``meta["stats"]`` counts screens, screened vertices, exact margins and
-    disturbance-degree halvings.
+
+    Degrees no U can certify are skipped.  With eps > 0, M <= 0 gives
+    N = A^T U + U A + eps zeta^2 I + xi U + U^2/eps <= 0 (Schur complement),
+    and eps zeta^2 I + U^2/eps >= 2 zeta U, so with c = zeta + xi/2,
+    (A + c I)^T U + U (A + c I) <= 0 for U > 0: Re lambda(A_k) <= -zeta - xi/2
+    at every vertex.  So with alpha = max_k max Re lambda(A_k), a degree
+    with delta = zeta + alpha > 0 fails the exact margins for every
+    (U, eps, xi); the same argument on M - mu I puts some vertex margin at
+    least (2 delta + xi) lambda_min(U) / (1 + zeta^2) above 0.
+    ``np.linalg.eigvals`` returns the eigenvalues of some A_k + E with
+    ||E||_F about 1e-15 ||A_k||_F, so the skip rule
+    zeta + alpha > tau_a = ABSCISSA_TOL (1 + max_k ||A_k||_F) keeps the
+    exact delta above tau_a / 2 for eigenvalue condition numbers up to
+    about 1e8 and for double eigenvalues (which move by about ||E||^(1/2)).
+    A skipped degree's margin is then at least
+    tau_a lambda_min(U) / (1 + zeta^2), above the margins' own rounding
+    (about 1e-15 ||M||) whenever ||M|| << 1e15 tau_a lambda_min(U) /
+    (1 + zeta^2); on case14 every skipped degree has delta >= 0.43.  The
+    halvings go on as before, so the search ends on the degree it ends on
+    without the skip.  When alpha >= -tau_a no degree can be certified, and
+    the search raises at once.  ``meta["zeta_bound"]`` is -alpha.
+
+    ``meta["stats"]`` counts screens, screened vertices, exact margins,
+    disturbance-degree halvings and the degrees skipped by the bound.
 
     Failure raises SynthesisError; no certificate is ever returned
     unverified: the result is re-checked with exact margins at every
@@ -1135,7 +1215,8 @@ def certificate_for_gains(
 
     Lbar1 = reduced_laplacian(Lbar, basis)
     candidates = [np.eye(m), Lbar1 / np.linalg.eigvalsh(Lbar1)[-1]]
-    xi, U, eps, z_used, stats = _search_certificate(A_stack, candidates, zeta_requested, u_steps)
+    xi, U, eps, z_used, z_bound, stats = _search_certificate(
+        A_stack, candidates, zeta_requested, u_steps)
 
     cert = StabilityCertificate(
         U=U,
@@ -1147,6 +1228,7 @@ def certificate_for_gains(
         meta={
             "zeta_requested": zeta_requested,
             "zeta_shortfall": z_used < zeta_requested,
+            "zeta_bound": z_bound,
             "n_vertices": int(A_stack.shape[0]),
             "block_worst_eig": feas.worst,
             "search_method": "subgradient",

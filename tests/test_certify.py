@@ -21,6 +21,8 @@ from microgridctl.certify import (
     _VertexScreen,
     _below,
     _margin_stack,
+    _search_certificate,
+    _spectral_abscissa,
     block_feasibility,
     blocks_of,
     build_basis,
@@ -452,9 +454,68 @@ def test_search_certificate_is_frozen(case14, gains14_synth, hull14):
     assert float(cert.d).hex() == "0x1.a88370d6cefc7p-3"
     assert cert.meta["search_method"] == "subgradient"
     stats = cert.meta["stats"]
-    assert set(stats) == {"margin_stacks", "screened_vertices", "exact_margins", "zeta_halvings"}
+    assert set(stats) == {"margin_stacks", "screened_vertices", "exact_margins", "zeta_halvings",
+                          "zeta_skipped"}
     assert stats["zeta_halvings"] == 10
     assert 0 < stats["exact_margins"] < stats["screened_vertices"]
+    # the abscissa bound 0.4771 rules out the first 9 degrees (231.8 ... 0.905)
+    assert stats["zeta_skipped"] == 9
+    assert cert.meta["zeta_bound"] == pytest.approx(0.47710561, abs=1e-8)
+
+
+def test_suspects_of_an_infeasible_xi_decide_every_lower_xi(A14, cert14):
+    """Margins rise with xi, so the survivors at an infeasible xi give the
+    verdict of the whole stack at any lower xi (the incremental bisection)."""
+    U, eps, zeta = np.asarray(cert14.U), cert14.eps, cert14.zeta
+    screen = _VertexScreen(A14)
+    xi_hi = 4.0 * cert14.xi
+    assert max(_margin_stack(A14, U, eps, xi_hi, zeta)) > 0.0
+    left = screen.suspects(screen.every, U, eps, xi_hi, zeta)
+    assert 0 < len(left) < len(A14)
+    verdicts = set()
+    for xi in np.linspace(0.0, xi_hi, 13)[:-1]:
+        feasible = bool(_margin_stack(A14, U, eps, xi, zeta).max() <= 0.0)
+        assert (screen.suspects(left, U, eps, xi, zeta) is None) == feasible
+        verdicts.add(feasible)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_margin_positive_at_abscissa_boundary(seed):
+    """Lemma behind the degree skip: a degree zeta with zeta + alpha(A) at the
+    skip tolerance fails the margin for any U > 0, eps > 0 and xi."""
+    rng = np.random.default_rng(seed)
+    m = 8
+    A = rng.standard_normal((m, m)) * 10 ** rng.uniform(-1, 1)
+    zeta = 10 ** rng.uniform(-2, 2)
+    for _ in range(3):  # the tolerance scales with ||A||_F, which the shift moves
+        alpha, _, tol = _spectral_abscissa(A[None])
+        A = A + (tol - zeta - alpha) * np.eye(m)
+    alpha, _, tol = _spectral_abscissa(A[None])
+    assert zeta + alpha == pytest.approx(tol, rel=1e-6)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    U = (Q * 10 ** rng.uniform(-2, 0, m)) @ Q.T
+    eps = 10 ** rng.uniform(-4, 4) / zeta
+    xi = 10 ** rng.uniform(-12, 0)
+    assert _margin_stack(A[None], U, eps, xi, zeta)[0] > 0.0
+
+
+def test_search_fails_fast_on_a_non_hurwitz_vertex(monkeypatch):
+    """An unstable vertex rules out every degree: the search raises at once,
+    naming the vertex, without screening anything."""
+    def no_screen(*args, **kwargs):
+        raise AssertionError("the search screened a vertex")
+
+    monkeypatch.setattr(certify, "_below", no_screen)
+    monkeypatch.setattr(certify, "_margin_stack", no_screen)
+    rng = np.random.default_rng(3)
+    m = 4
+    stack = np.stack([-np.eye(m) + 0.1 * rng.standard_normal((m, m)) for _ in range(6)])
+    stack[4] += 1.5 * np.eye(m)
+    alpha = np.linalg.eigvals(stack[4]).real.max()
+    assert alpha > 0.0 > np.linalg.eigvals(np.delete(stack, 4, axis=0)).real.max()
+    with pytest.raises(SynthesisError, match=f"vertex 4 has spectral abscissa {alpha:.3e}"):
+        _search_certificate(stack, [np.eye(m)], 1.0, 5)
 
 
 # -- synthesis ----------------------------------------------------------------------

@@ -184,7 +184,8 @@ def test_synthesize_and_certify_stats_print_search_counters(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS: 400 vertices, " in out  # the full product fits: no subset wording
     [stats] = _json_lines(out)
-    assert set(stats) == {"margin_stacks", "screened_vertices", "exact_margins", "zeta_halvings"}
+    assert set(stats) == {"margin_stacks", "screened_vertices", "exact_margins", "zeta_halvings",
+                          "zeta_skipped"}
     cert = json.loads((tmp_path / "pair.cert.json").read_text())
     assert cert["meta"]["stats"] == stats
     # the same gains give the same search, counted the same
