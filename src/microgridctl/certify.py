@@ -51,6 +51,7 @@ VERTEX_BUDGET = 200_000  # largest global vertex product checked in full
 MAX_CORNER_COMBOS = 2_000_000  # largest per-block corner enumeration
 MARGIN_CHUNK = 4096  # vertices per batched eigen-solve in _margin_stack
 XI_RESOLUTION = 1e-6  # stage 2 bisects xi to this width
+ZETA_HALVINGS = 48  # stage 2 halves the disturbance degree at most this often
 ABSCISSA_TOL = 1e-6  # relative slack on the vertex spectral abscissa (certificate_for_gains)
 ZETA_SAMPLES, ZETA_SEED = 64, 2024  # interior profiles (plus flat) behind stage 2's zeta estimate
 STAGE1_MIN_MARGIN = 1e-8  # block margin stage 1 must reach
@@ -603,12 +604,7 @@ def _margin_stack(A_stack, U, eps, xi, zeta):
     return out
 
 
-def _u_terms(U):
-    """The U-only terms of ``_below``: ||U||_2 and U @ U."""
-    return np.linalg.norm(U, 2), U @ U
-
-
-def _below(A_last, U, eps, xi, zeta, level, u_terms=None):
+def _below(A_last, U, eps, xi, zeta, level):
     """Vertices whose margin provably lies at least EIG_TOL below ``level``.
 
     ``A_last`` holds the A11 vertices with the vertex index last, (m, m, n).
@@ -621,18 +617,15 @@ def _below(A_last, U, eps, xi, zeta, level, u_terms=None):
     when s <= tau nothing is flagged.  tau >= EIG_TOL dominates the
     rounding of forming and factoring N (a small multiple of machine
     epsilon times ||N||) by orders of magnitude whenever ||N|| << 1e6.
-    ``u_terms`` is ``_u_terms(U)``, passed by callers that screen one U
-    many times.
     """
     m, n = U.shape[0], A_last.shape[-1]
-    norm_U, UU = _u_terms(U) if u_terms is None else u_terms
     s = eps + level
-    tau = EIG_TOL * (1.0 + norm_U / s) ** 2 if s > 0.0 else math.inf
+    tau = EIG_TOL * (1.0 + np.linalg.norm(U, 2) / s) ** 2 if s > 0.0 else math.inf
     if s <= tau:
         return np.zeros(n, dtype=bool)
     UA = (U @ A_last.reshape(m, -1)).reshape(m, m, n)
     B = UA + UA.transpose(1, 0, 2)  # N + tau I, vertex index last
-    B += ((eps * zeta ** 2 - level + tau) * np.eye(m) + xi * U + UU / s)[:, :, None]
+    B += ((eps * zeta ** 2 - level + tau) * np.eye(m) + xi * U + (U @ U) / s)[:, :, None]
     ok = np.ones(n, dtype=bool)
     for j in range(m):  # one elimination step for the whole stack; B must stay negative definite
         pivot = B[j, j]
@@ -947,16 +940,13 @@ class _VertexScreen:
         self.every = np.arange(A_stack.shape[0])
         self.last_worst = 0  # the previous worst vertex: the next refinement's first guess
         self.stats = {"margin_stacks": 0, "screened_vertices": 0, "exact_margins": 0}
-        self._U, self._U_terms = None, None  # the last U screened and its _u_terms
 
     def survivors(self, idx, U, eps, xi, zeta, level):
         """The vertices of ``idx`` the screen cannot put EIG_TOL below ``level``."""
         self.stats["margin_stacks"] += 1
         self.stats["screened_vertices"] += len(idx)
-        if self._U is None or not np.array_equal(U, self._U):
-            self._U, self._U_terms = U.copy(), _u_terms(U)
         stack = self.A_last if idx is self.every else self.A_last[:, :, idx]
-        return idx[~_below(stack, U, eps, xi, zeta, level, self._U_terms)]
+        return idx[~_below(stack, U, eps, xi, zeta, level)]
 
     def exact(self, idx, U, eps, xi, zeta):
         """Margins of the vertices ``idx``, as ``_margin_stack`` gives them."""
@@ -1034,10 +1024,11 @@ def _search_certificate(A_stack, candidates, zeta, u_steps):
     -alpha and the counters.  Degrees above the bound are skipped."""
     m = A_stack.shape[1]
     alpha, k_alpha, alpha_tol = _spectral_abscissa(A_stack)
-    if alpha >= -alpha_tol:
+    zeta_min = math.ldexp(zeta, -ZETA_HALVINGS)  # the last degree the halvings reach
+    if zeta_min + alpha > alpha_tol:
         raise SynthesisError(
-            f"stage 2: vertex {k_alpha} has spectral abscissa {alpha:.3e} >= "
-            f"-{alpha_tol:.1e}; no disturbance degree can be certified"
+            f"stage 2: vertex {k_alpha} has spectral abscissa {alpha:.3e}, which rules out "
+            f"every disturbance degree down to {zeta_min:.3e}"
         )
     screen = _VertexScreen(A_stack)
 
@@ -1126,7 +1117,7 @@ def _search_certificate(A_stack, candidates, zeta, u_steps):
     skipped = 0
     found = optimize(zeta)
     halvings = 0
-    while found is None and halvings < 48:
+    while found is None and halvings < ZETA_HALVINGS:
         zeta *= 0.5
         halvings += 1
         found = optimize(zeta)
@@ -1178,8 +1169,9 @@ def certificate_for_gains(
     (about 1e-15 ||M||) whenever ||M|| << 1e15 tau_a lambda_min(U) /
     (1 + zeta^2); on case14 every skipped degree has delta >= 0.43.  The
     halvings go on as before, so the search ends on the degree it ends on
-    without the skip.  When alpha >= -tau_a no degree can be certified, and
-    the search raises at once.  ``meta["zeta_bound"]`` is -alpha.
+    without the skip.  When the skip rule rules out even the last degree
+    the halvings reach, zeta / 2^ZETA_HALVINGS, the search raises at once;
+    a degree with 0 < zeta <= -alpha is still tried, however small -alpha.  ``meta["zeta_bound"]`` is -alpha.
 
     ``meta["stats"]`` counts screens, screened vertices, exact margins,
     disturbance-degree halvings and the degrees skipped by the bound.

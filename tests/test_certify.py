@@ -500,6 +500,30 @@ def test_margin_positive_at_abscissa_boundary(seed):
     assert _margin_stack(A[None], U, eps, xi, zeta)[0] > 0.0
 
 
+def test_search_tries_degrees_below_a_small_negative_abscissa():
+    """With -tau_a < alpha < 0 the bound rules out only degrees above
+    tau_a - alpha: the search goes on and certifies one below -alpha."""
+    rng = np.random.default_rng(3)
+    m = 4
+    stack = []
+    for _ in range(6):
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        stack.append((Q * -rng.uniform(1.0, 2.0, m)) @ Q.T)
+    stack = np.stack(stack)
+    for _ in range(3):  # the tolerance scales with ||A||_F, which the shift moves
+        alpha, _, tol = _spectral_abscissa(stack)
+        stack = stack - (alpha + 0.5 * tol) * np.eye(m)
+    alpha, _, tol = _spectral_abscissa(stack)
+    assert -tol < alpha < 0.0
+    xi, U, eps, zeta, bound, stats = _search_certificate(stack, [np.eye(m)], 1.0, 5)
+    assert bound == -alpha
+    assert zeta <= -alpha
+    assert _margin_stack(stack, U, eps, xi, zeta).max() <= 0.0
+    # degrees 1 ... 2^-18 lie above tol - alpha; 2^-19 runs and fails, 2^-20 certifies
+    assert (stats["zeta_skipped"], stats["zeta_halvings"]) == (19, 20)
+    assert stats["margin_stacks"] > 0
+
+
 def test_search_fails_fast_on_a_non_hurwitz_vertex(monkeypatch):
     """An unstable vertex rules out every degree: the search raises at once,
     naming the vertex, without screening anything."""
