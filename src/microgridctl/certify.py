@@ -41,7 +41,7 @@ from .controller import (
     consensus_patterns,
     gains_to_json,
 )
-from .powerflow import VoltageProfile, jacobians, kappa_bound
+from .powerflow import VoltageProfile, full_jacobian, interleave, jacobians, kappa_bound
 
 EIG_TOL = 1e-9  # absolute tolerance on extreme eigenvalues in all checks
 
@@ -247,15 +247,21 @@ class BlockBounds:
 def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block) -> BlockBounds:
     """Entrywise min/max of the block Jacobian over corner profiles.
 
-    The block-restricted corners are realized on the relevant subnetwork: relevant buses are the block plus its
-    electrical neighbors, relevant edges those incident to the block.
-    Magnitudes take both box corners; angle gaps take {-gamma, 0, gamma}
-    plus any interior trig-stationary angles (which keeps the bounds valid
-    on lines failing the folded-angle hypothesis) on a spanning tree of
-    the relevant subgraph, with non-tree gaps inherited from the realized
-    angles.  On meshes this matches the sampled-Jacobian hull semantics:
-    corner profiles are angle-consistent, and the interior-containment
-    claim is restricted to cycle-consistent states.
+    The block-restricted corners are realized on the relevant subnetwork:
+    relevant buses are the block plus its electrical neighbors, relevant
+    edges those incident to the block.  Magnitudes take both box corners;
+    angle gaps take {-gamma, 0, gamma} plus any interior trig-stationary
+    angles (which keeps the bounds valid on lines failing the folded-angle
+    hypothesis) on a spanning tree of the relevant subgraph, with non-tree
+    gaps inherited from the realized angles.  On meshes this matches the
+    sampled-Jacobian hull semantics: corner profiles are angle-consistent,
+    and the interior-containment claim is restricted to cycle-consistent
+    states.
+
+    ``D_stack`` holds one vertex per corner profile, in meshgrid order:
+    the normalized block Jacobian that one batched ``full_jacobian`` call
+    over the relevant subnetwork's admittance gives (the block's rows and
+    columns, each row divided by its P* or Q*).
     """
     block = tuple(sorted(block))
     inv_set = set(case.inverter_ids)
@@ -273,9 +279,8 @@ def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block) -> BlockBounds:
     tree = bfs_tree(relevant, [(ln.from_bus, ln.to_bus) for ln in edges], root)
 
     e_choices = [(case.buses[i].E_min, case.buses[i].E_max) for i in relevant]
-    tree_slots = [k for _, _, k, _ in tree]
     d_choices = []
-    for k in tree_slots:
+    for _, _, k, _ in tree:
         ln = edges[k]
         phi = float(Y.angle[ln.from_bus, ln.to_bus])
         d_choices.append(sorted([-gamma, 0.0, gamma] + _stationary_candidates(phi, gamma)))
@@ -285,62 +290,22 @@ def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block) -> BlockBounds:
             f"block corner enumeration has {n_combos} combinations (> {MAX_CORNER_COMBOS})"
         )
 
-    grids = np.meshgrid(*(e_choices + d_choices), indexing="ij") if (e_choices or d_choices) else []
+    grids = np.meshgrid(*(e_choices + d_choices), indexing="ij")
     flat = [g.reshape(-1) for g in grids]
-    M = flat[0].size if flat else 1
-    E_cols = {bus: flat[k] for k, bus in enumerate(relevant)}
+    E = np.stack(flat[: len(relevant)], axis=-1)  # one row of relevant magnitudes per combination
 
-    # realize angles along the tree, then read off every relevant edge's gap
-    theta_cols = {root: np.zeros(M)}
-    for slot, (u, v, k, sign) in enumerate(tree):
-        theta_cols[v] = theta_cols[u] - sign * flat[len(relevant) + slot]
-    D_cols = {}
-    for ln in edges:
-        D_cols[ln.key] = theta_cols[ln.from_bus] - theta_cols[ln.to_bus]
+    # realize angles along the tree; non-tree gaps follow from them
+    at = {bus: k for k, bus in enumerate(relevant)}
+    theta = np.zeros_like(E)
+    for slot, (u, v, _, sign) in enumerate(tree):
+        theta[:, at[v]] = theta[:, at[u]] - sign * flat[len(relevant) + slot]
 
-    pos = {b: k for k, b in enumerate(block)}
-    b = len(block)
-    D_stack = np.zeros((M, 2 * b, 2 * b))
-    p_star = {i: case.buses[i].P_star for i in block}
-    q_star = {i: case.buses[i].Q_star for i in block}
-    incident = {i: [] for i in block}
-    for ln in edges:
-        if ln.from_bus in incident:
-            incident[ln.from_bus].append((ln.to_bus, ln.key, +1))
-        if ln.to_bus in incident:
-            incident[ln.to_bus].append((ln.from_bus, ln.key, -1))
-
-    for i in block:
-        pi = pos[i]
-        E_i = E_cols[i]
-        sum_sin = np.zeros(M)
-        sum_cos = np.zeros(M)
-        for k_bus, key, sign in incident[i]:
-            phi = float(Y.angle[min(i, k_bus), max(i, k_bus)])
-            mag = float(Y.magnitude[min(i, k_bus), max(i, k_bus)])
-            arg = sign * D_cols[key] - phi
-            term = mag * E_cols[k_bus]
-            sum_sin += term * np.sin(arg)
-            sum_cos += term * np.cos(arg)
-        G_ii = float(Y.Y[i, i].real)
-        B_ii = float(Y.Y[i, i].imag)
-        D_stack[:, 2 * pi, 2 * pi] = (-E_i * sum_sin) / p_star[i]
-        D_stack[:, 2 * pi, 2 * pi + 1] = (2.0 * E_i * G_ii + sum_cos) / p_star[i]
-        D_stack[:, 2 * pi + 1, 2 * pi] = (E_i * sum_cos) / q_star[i]
-        D_stack[:, 2 * pi + 1, 2 * pi + 1] = (-2.0 * E_i * B_ii + sum_sin) / q_star[i]
-        for k_bus, key, sign in incident[i]:
-            if k_bus not in pos:
-                continue
-            pj = pos[k_bus]
-            phi = float(Y.angle[min(i, k_bus), max(i, k_bus)])
-            mag = float(Y.magnitude[min(i, k_bus), max(i, k_bus)])
-            arg = sign * D_cols[key] - phi
-            s, c = np.sin(arg), np.cos(arg)
-            E_j = E_cols[k_bus]
-            D_stack[:, 2 * pi, 2 * pj] = (E_i * E_j * mag * s) / p_star[i]
-            D_stack[:, 2 * pi, 2 * pj + 1] = (E_i * mag * c) / p_star[i]
-            D_stack[:, 2 * pi + 1, 2 * pj] = (-E_i * E_j * mag * c) / q_star[i]
-            D_stack[:, 2 * pi + 1, 2 * pj + 1] = (E_i * mag * s) / q_star[i]
+    rows = [at[i] for i in block]
+    Y_rel = AdmittanceMatrix(Y=Y.Y[np.ix_(relevant, relevant)])
+    scale = np.array([[case.buses[i].P_star, case.buses[i].Q_star] for i in block]).reshape(-1, 1)
+    # unconnected block pairs come out as -0.0 or +0.0; + 0.0 makes them all +0.0, so the
+    # stack keeps the bits cert14's attainer subset depends on (ROADMAP item 2)
+    D_stack = interleave(full_jacobian(Y_rel, theta, E, rows=rows), rows) / scale + 0.0
 
     return BlockBounds(
         block=block,
@@ -374,10 +339,10 @@ class IntervalHull:
     @cached_property
     def vertex_lists(self) -> tuple[tuple[np.ndarray, ...], int]:
         """Per-block vertex lists of the quadratic check and the size of the
-        full deduplicated product: the full lists when that product fits
-        VERTEX_BUDGET, else each list's samples attaining some entrywise
-        extreme (the block-level checks still sweep the complete lists)."""
-        per_block = [_dedup_stack(bb.D_stack) for bb in self.per_block]
+        full product: the corner stacks when that product fits
+        VERTEX_BUDGET, else each stack's samples attaining some entrywise
+        extreme (the block-level checks still sweep the complete stacks)."""
+        per_block = [bb.D_stack for bb in self.per_block]
         n_product = int(np.prod([len(s) for s in per_block]))
         if n_product > VERTEX_BUDGET:
             per_block = [_attainer_subset(bb) for bb in self.per_block]
@@ -449,17 +414,11 @@ def block_feasibility(gains: GainSet, hull: IntervalHull, d: float) -> BlockFeas
 # ---------------------------------------------------------------------------
 
 
-def _dedup_stack(stack: np.ndarray) -> np.ndarray:
-    flat = stack.reshape(stack.shape[0], -1)
-    uniq = np.unique(flat, axis=0)
-    return uniq.reshape(-1, *stack.shape[1:])
-
-
 def _attainer_subset(bb: BlockBounds) -> np.ndarray:
     """Vertices attaining some entrywise extreme (plus nothing else)."""
     idx = set(np.argmin(bb.D_stack, axis=0).ravel().tolist())
     idx |= set(np.argmax(bb.D_stack, axis=0).ravel().tolist())
-    return _dedup_stack(bb.D_stack[sorted(idx)])
+    return bb.D_stack[sorted(idx)]
 
 
 def certification_vertices(hull: IntervalHull) -> np.ndarray:

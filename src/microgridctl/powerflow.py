@@ -7,9 +7,11 @@ of the load-bus KCL equations, the coupling-ratio bound between load-bus
 and inverter-bus state velocities, and the classical existence-condition
 checker.
 
-Two forms of the Jacobian coexist.  The certificate side (``jacobians``,
-``kcl_jacobian_parts``) and the equilibrium solve take the real, polar
-form from ``full_jacobian``.  The simulator's load-bus Newton sets up a
+Two forms of the Jacobian coexist.  The real, polar form is
+``full_jacobian``, batched over leading stack axes of states: the
+certificate hull (``certify.entry_bounds``, one call over every corner
+profile of a block), ``jacobians``, ``kcl_jacobian_parts`` and the
+equilibrium solve all take it.  The simulator's load-bus Newton sets up a
 ``LoadBusKCL`` once per operating condition and differentiates in complex
 form over the algebraic columns only.
 
@@ -112,31 +114,46 @@ def full_jacobian(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray, rows=No
     """dP/dtheta, dP/dE, dQ/dtheta, dQ/dE over the given rows and every column.
 
     ``rows`` lists bus ids (all buses when omitted); each block has one row
-    per listed bus and one column per bus.  With the summands
-    HP[k,m] = E_k E_m |Y_km| cos(theta_k - theta_m - phi_km) and HQ the sin
-    analogue, the entries at each row's own bus also carry the row sums.
+    per listed bus and one column per bus.  ``theta`` and ``E`` may carry
+    leading stack axes, which the blocks then carry too.  With
+    s_ik, c_ik = sin, cos(theta_i - theta_k - phi_ik) and |Y_ik| zeroed at
+    each row's own bus, an entry off that bus is E_i E_k |Y_ik| s_ik,
+    E_i |Y_ik| c_ik, -E_i E_k |Y_ik| c_ik or E_i |Y_ik| s_ik; the own-bus
+    entries take the row sums S_i = sum_k |Y_ik| E_k s_ik and C_i, added
+    over the columns in order one term at a time, as -E_i S_i,
+    2 E_i G_ii + C_i, E_i C_i and -2 E_i B_ii + S_i.
     """
-    r = np.arange(len(E)) if rows is None else np.asarray(rows, dtype=int)
-    A = theta[r][:, None] - theta - Y.angle[r]
-    W = (E[r][:, None] * E) * Y.magnitude[r]
-    HP, HQ = W * np.cos(A), W * np.sin(A)
-    own = r[:, None] == np.arange(len(E))  # each row's own-bus entry
-    sum_P = own * HP.sum(axis=1)[:, None]
-    sum_Q = own * HQ.sum(axis=1)[:, None]
-    return HQ - sum_Q, (HP + sum_P) / E, sum_P - HP, (HQ + sum_Q) / E
+    r = np.arange(E.shape[-1]) if rows is None else np.asarray(rows, dtype=int)
+    own = (np.arange(len(r)), r)  # each row's own-bus entry
+    A = theta[..., r, None] - theta[..., None, :] - Y.angle[r]
+    mag = Y.magnitude[r]
+    mag[own] = 0.0
+    s, c = np.sin(A), np.cos(A)
+    E_r, Y_ii = E[..., r], Y.Y[r, r]
+    E_i, E_k = E_r[..., None], E[..., None, :]
+    # every product associates as written, so a corner hull's bits stay put
+    W2, W1 = E_i * E_k * mag, E_i * mag
+    S, C = (np.cumsum(mag * E_k * t, axis=-1)[..., -1] for t in (s, c))
+    blocks = W2 * s, W1 * c, -W2 * c, W1 * s
+    for b, own_entry in zip(blocks, (-E_r * S, 2.0 * E_r * Y_ii.real + C,
+                                     E_r * C, -2.0 * E_r * Y_ii.imag + S)):
+        b[(..., *own)] = own_entry
+    return blocks
 
 
 def interleave(blocks, cols):
-    """Interleaved [P_i; Q_i] x [theta_j; E_j] matrix from full_jacobian blocks.
+    """Interleaved [P_i; Q_i] x [theta_j; E_j] matrices from full_jacobian blocks.
 
-    Rows are those of the blocks, columns the given bus ids.
+    Rows are those of the blocks, columns the given bus ids; leading stack
+    axes carry through.
     """
-    dP_dth, dP_dE, dQ_dth, dQ_dE = (b[:, cols] for b in blocks)
-    J = np.empty((2 * dP_dth.shape[0], 2 * dP_dth.shape[1]))
-    J[0::2, 0::2] = dP_dth
-    J[0::2, 1::2] = dP_dE
-    J[1::2, 0::2] = dQ_dth
-    J[1::2, 1::2] = dQ_dE
+    dP_dth, dP_dE, dQ_dth, dQ_dE = (b[..., cols] for b in blocks)
+    *lead, n_rows, n_cols = dP_dth.shape
+    J = np.empty((*lead, 2 * n_rows, 2 * n_cols))
+    J[..., 0::2, 0::2] = dP_dth
+    J[..., 0::2, 1::2] = dP_dE
+    J[..., 1::2, 0::2] = dQ_dth
+    J[..., 1::2, 1::2] = dQ_dE
     return J
 
 

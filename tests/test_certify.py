@@ -185,6 +185,39 @@ def test_hull_global_assembly(hull14, case14):
     assert np.all(hull14.J_lo <= hull14.J_hi)
 
 
+# Recorded from the per-line trig loops that built the hull before it called
+# powerflow.full_jacobian.
+CASE14_CORNER_STACKS = {
+    (0, 1, 2): ((7200, 6, 6), "9fd1cf69ff7831ea7068bdf2814e4e186c037d36281b27ec4d8cde8b21a62d0d"),
+    (5,): ((2592, 2, 2), "8296d7af883a987d6dbdf3888673fa920ab5322ee0c83cd1d542fa5ec60e9c92"),
+    (7,): ((12, 2, 2), "a579d3f4546b017cdc8f54d4f17524313c83ac0e63947fca9553b3731d25e551"),
+}
+
+
+def test_case14_corner_stacks_are_bit_identical(hull14):
+    assert [bb.block for bb in hull14.per_block] == list(CASE14_CORNER_STACKS)
+    for bb in hull14.per_block:
+        shape, digest = CASE14_CORNER_STACKS[bb.block]
+        assert bb.D_stack.shape == shape
+        assert hashlib.sha256(bb.D_stack.tobytes()).hexdigest() == digest, (
+            f"the corner stack of block {bb.block} moved.  cert14 is checked on the attainer "
+            "subset, the vertices where some entry's argmin or argmax falls, and rounding-level "
+            "changes re-break those ties: the subset then has 1,904 or 2,496 vertices instead of "
+            "2,176 and cert14 can fail on it.  Keep the hull's arithmetic bit for bit while the "
+            "attainer subset decides coverage.")
+
+
+@pytest.mark.parametrize("name", ["two_bus_inductive", "triangle_case", "path3_inverters",
+                                  "mixed_case", "case14"])
+def test_hull_vertices_are_distinct(name, request):
+    """Each corner combination gives its own Jacobian (every relevant bus's E
+    and every tree gap enters some block row through a sin and a cos term),
+    so the vertex lists take the corner stacks as they are."""
+    for bb in build_hull(request.getfixturevalue(name)).per_block:
+        rows = bb.D_stack.reshape(len(bb.D_stack), -1)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
 # -- block feasibility --------------------------------------------------------------
 
 
@@ -444,13 +477,16 @@ def test_feasible_checks_every_survivor(A14, cert14):
 
 def test_search_certificate_is_frozen(case14, gains14_synth, hull14):
     """The screened search returns, bit for bit, the certificate that exact
-    margins at every vertex gave (values recorded before the screen)."""
+    margins at every vertex gave (values recorded before the screen).  zeta
+    is zeta_requested / 2^10, and zeta_requested is recorded from the
+    sequential-row-sum ``full_jacobian`` behind ``kappa_bound`` and
+    ``jacobians``."""
     cert = certificate_for_gains(case14, gains14_synth, hull14, u_steps=5)
     assert hashlib.sha256(cert.U.tobytes()).hexdigest() == (
         "b405dde8f156e62be7c427ea26344a501876284c7475da647940bec8e45885e8")
     assert float(cert.eps).hex() == "0x1.1abb97a6c386ep+2"
     assert float(cert.xi).hex() == "0x1.197b7414a4d2cp-2"
-    assert float(cert.zeta).hex() == "0x1.cf96f58bf6066p-3"
+    assert float(cert.zeta).hex() == "0x1.cf96f58bf6040p-3"
     assert float(cert.d).hex() == "0x1.a88370d6cefc7p-3"
     assert cert.meta["search_method"] == "subgradient"
     stats = cert.meta["stats"]
@@ -596,7 +632,9 @@ def _digest(*arrays):
 def test_stage1_is_frozen(separated_pair_case):
     """Stage 1 and the two-stage synthesis give, bit for bit, the gains and
     certificate recorded when the capacity box and the rate limits were
-    arguments (passed their default values)."""
+    arguments (passed their default values).  The synthesis digest is recorded
+    from the sequential-row-sum ``full_jacobian``: only its zeta, through
+    zeta_requested, differs from the pairwise-sum kernel's."""
     gains = stage1_gains(separated_pair_case, build_hull(separated_pair_case), iters=80)
     blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
     assert _digest(*blocks, [gains.theta_dot_max, gains.E_dot_max]) == (
@@ -604,7 +642,7 @@ def test_stage1_is_frozen(separated_pair_case):
     gains, cert = certify.synthesize_gains(separated_pair_case, stage1_iters=120)
     blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
     assert _digest(*blocks, cert.U, [cert.eps, cert.xi, cert.zeta, cert.d]) == (
-        "6e6c1999eb4c4db09c4e4db67d15b5d39549fed02bdb79fec28cc3db46354876")
+        "b22818c90e6b008fc2c520d8669e1f2d25b5ba318f7b34714f3defc5f4fa74c9")
 
 
 def test_certificate_for_infeasible_gains_raises(separated_pair_case):

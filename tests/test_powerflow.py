@@ -13,6 +13,7 @@ from microgridctl.powerflow import (
     VoltageProfile,
     full_jacobian,
     injections_raw,
+    interleave,
     kcl_jacobian_parts,
     kcl_matrix,
     kcl_residual,
@@ -453,6 +454,21 @@ def test_full_jacobian_rows_are_exact_row_subsets(case14, Y14):
     for whole, part in zip(full_jacobian(Y14, theta, E), full_jacobian(Y14, theta, E, rows)):
         assert part.shape == (3, case14.n)
         assert np.array_equal(part, whole[rows])
+
+
+def test_full_jacobian_of_a_stack_equals_single_calls(case14, Y14):
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(-0.2, 0.2, (2, 3, case14.n))
+    E = rng.uniform(0.95, 1.05, (2, 3, case14.n))
+    cols = list(case14.inverter_ids)
+    for rows in (None, [9, 2, 13]):
+        stacked = full_jacobian(Y14, theta, E, rows)
+        J = interleave(stacked, cols)
+        for idx in np.ndindex(2, 3):
+            single = full_jacobian(Y14, theta[idx], E[idx], rows)
+            for whole, part in zip(stacked, single):
+                assert np.array_equal(whole[idx], part)
+            assert np.array_equal(J[idx], interleave(single, cols))
 
 
 def test_load_arrays_match_per_load_demand(mixed_case):
