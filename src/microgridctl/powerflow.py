@@ -13,7 +13,8 @@ certificate hull (``certify.entry_bounds``, one call over every corner
 profile of a block), ``jacobians``, ``kcl_jacobian_parts`` and the
 equilibrium solve all take it.  The simulator's load-bus Newton sets up a
 ``LoadBusKCL`` once per operating condition and differentiates in complex
-form over the algebraic columns only.
+form over the algebraic columns only, and over the source columns for the
+tangent that predicts each solve's start.
 
 Sign conventions: injections are generation-positive, load demand is
 consumption-positive, so the KCL residual at a load bus reads
@@ -258,14 +259,19 @@ class LoadBusKCL:
 
     ``alg_ids`` are the buses' positions in Y and in the work arrays that
     ``solve_algebraic`` moves; ``loads`` lists their loads in the same
-    order.  Holds the rows ``Y_a`` of Y over those buses, the conjugate of
-    their own block ``Y_aa``, the loads' complex demand coefficients, and
-    preallocated work buffers ending in the 2m x 2m Newton matrix.
-    ``residual`` evaluates V = E e^{j theta}, I_a = Y_a V and
-    S_a = V_a conj(I_a) once per iterate and keeps V_a, S_a and E_a;
+    order.  Every other bus of Y is a source.  Holds Y, the conjugates of
+    the algebraic rows' own block ``Y_aa`` and source block ``Y_aS``, the
+    loads' complex demand coefficients, and preallocated work buffers
+    ending in the 2m x 2m Newton matrix.  ``residual`` evaluates
+    V = E e^{j theta} and S = V conj(Y V) over every bus once per iterate,
+    with the arithmetic of ``injections_raw``, and keeps S, V_a, S_a and
+    E_a: after a solve, S holds the sources' injections at the solution.
     ``jacobian`` differentiates at that iterate in complex form, over the
     algebraic columns only, as MATPOWER's ``dSbus_dV`` does (Zimmerman,
-    Murillo-Sanchez & Thomas, IEEE Trans. Power Systems 26(1), 2011).
+    Murillo-Sanchez & Thomas, IEEE Trans. Power Systems 26(1), 2011);
+    ``tangent`` gives the implicit-function tangent of the solution with
+    respect to the sources, the predictor of continuation power flow
+    (Ajjarapu & Christy, IEEE Trans. Power Systems 7(1), 1992).
     """
 
     def __init__(self, Y: AdmittanceMatrix, alg_ids, loads: LoadArrays):
@@ -274,9 +280,11 @@ class LoadBusKCL:
         # a contiguous run of positions is a slice, so theta[sel] is a view
         contiguous = m and np.array_equal(alg, np.arange(alg[0], alg[0] + m))
         self.sel = slice(int(alg[0]), int(alg[0]) + m) if contiguous else alg
-        self.Y_a = Y.Y[alg]
+        self.Y = Y.Y
+        self.src = np.setdiff1d(np.arange(len(Y.Y)), alg)
         # Y.Y[alg][:, alg] comes out Fortran-ordered; row order keeps B's product fast
-        self.conj_Y_aa = np.ascontiguousarray(np.conj(self.Y_a[:, alg]))
+        self.conj_Y_aa = np.ascontiguousarray(np.conj(Y.Y[alg][:, alg]))
+        self.conj_Y_aS = np.conj(Y.Y[np.ix_(alg, self.src)])
         # demand Pd + j Qd = (P + jQ) + (G + jB) E^2, and its E-derivative
         self.demand_const = loads.P + 1j * loads.Q
         self.demand_coef = loads.G + 1j * loads.B
@@ -299,11 +307,12 @@ class LoadBusKCL:
         self.dS_view = self.dS.view(float).reshape(m, m, 2, 2).transpose(0, 3, 1, 2)
 
     def residual(self, theta, E):
-        """Stacked [P_i + Pd_i(E_i), Q_i + Qd_i(E_i)]; keeps V_a, S_a, E_a."""
-        V = E * np.exp(1j * theta)
+        """Stacked [P_i + Pd_i(E_i), Q_i + Qd_i(E_i)]; keeps S, V_a, S_a, E_a."""
+        self.V = V = E * np.exp(1j * theta)
+        self.S = V * np.conj(self.Y.dot(V))
         self.V_a = V[self.sel]
         self.E_a = E_a = E[self.sel].copy()
-        self.S_a = self.V_a * np.conj(self.Y_a.dot(V))
+        self.S_a = self.S[self.sel]
         # complex128 viewed as float64 is the interleaved [real, imaginary] pairs
         return (self.S_a + (self.demand_const + self.demand_coef * E_a * E_a)).view(float)
 
@@ -323,6 +332,26 @@ class LoadBusKCL:
         self.dS_dE_diag += self.d_demand * self.E_a
         self.J_view[...] = self.dS_view
         return self.J
+
+    def tangent(self):
+        """H = -J_LL^-1 J_LS at the last ``residual``'s iterate, a solution.
+
+        J_LL is the Newton matrix and J_LS the same derivative over the
+        source columns: with B = diag(V_a) conj(Y_aS diag(V_S)),
+        dS_a/dtheta_S = -j B and dS_a/dE_S = B diag(E_S)^-1; the loads add
+        nothing.  H maps a move [dtheta_S; dE_S] of the sources, in
+        ascending bus order, to the solution's first-order move
+        [dtheta_a; dE_a].  Raises NewtonError when J_LL is singular.
+        """
+        V_S = self.V[self.src]
+        B = self.V_a[:, None] * (self.conj_Y_aS * np.conj(V_S))
+        dS = np.hstack((-1j * B, B / np.abs(V_S)))  # columns [theta_S, E_S]
+        J_LS = np.stack((dS.real, dS.imag), axis=1).reshape(2 * self.m, -1)
+        try:
+            H = np.linalg.solve(self.jacobian(), J_LS)
+        except np.linalg.LinAlgError:
+            raise NewtonError("singular Newton matrix at the load-solve tangent") from None
+        return -np.concatenate((H[0::2], H[1::2]))
 
 
 def solve_algebraic(kcl: LoadBusKCL, theta: np.ndarray, E: np.ndarray):

@@ -7,10 +7,12 @@ condition, every algebraic bus whose load is linear in V (constant
 impedance, or zero constant power such as a lost DER's open breaker) is
 folded into the admittance as a shunt and Kron-eliminated, so its voltage
 is an exact linear function of the kept buses.  Only the remaining
-nonlinear buses are re-solved by Newton at every stage, with warm starts,
-on a ``powerflow.LoadBusKCL`` set up with the condition; without any, a
-stage is one injection evaluation and one call of the control law,
-integrated on a flat ``[theta; E]`` work array.  Scenario
+nonlinear buses are re-solved by Newton at every stage, started on the
+implicit-function tangent from the last solution, on a
+``powerflow.LoadBusKCL`` set up with the condition, whose network
+evaluation the control law then reuses; without any, a stage is one
+injection evaluation and one call of the control law, integrated on a
+flat ``[theta; E]`` work array.  Scenario
 events reconfigure the operating condition between steps.  Traces are
 deterministic: fixed step, fixed iteration order, no wall-clock anywhere.
 Their columns, in memory and in the CSV, follow one table, ``TRACE_COLUMNS``.
@@ -381,8 +383,20 @@ class _Engine:
     (None when none is kept).  The work array ``x`` is then ``[theta; E]``
     over the kept buses only (active inverters first, then the nonlinear
     algebraic buses), with views ``theta``/``E``; ``x[ia]`` is the
-    inverters' part, all of ``x`` when no nonlinear bus is kept.  ``full``
-    recovers the whole network.
+    inverters' part, all of ``x`` when no nonlinear bus is kept, and
+    ``x[il]`` the nonlinear buses' part.  ``full`` recovers the whole
+    network.
+
+    With nonlinear buses kept, each Newton solve starts on a predictor.
+    The engine keeps an anchor: the last solved pair x_S = x[ia],
+    x_L = x[il] and a ``kcl.tangent`` H.  A solve starts from
+    x[il] = x_L + H (x[ia] - x_S), magnitudes floored at 1e-6.  H is
+    rebuilt only after a solve that iterated (``tangent_updates`` counts
+    it), or when there is no anchor; a condition switch and a step's
+    rollback drop the anchor, so a retried step depends only on the state
+    it starts from.  After a solve, ``kcl`` holds the kept buses'
+    injections at x, and ``derivative`` takes the inverters' rows from it
+    rather than evaluating the network again.
     """
 
     def __init__(self, case: NetworkCase, gains: GainSet, Y, cond: OperatingCondition,
@@ -391,7 +405,7 @@ class _Engine:
         self.gains = gains
         self.Y = Y
         self.stats = {"eliminated_buses": [], "newton_iters": 0, "dt_halvings": 0,
-                      "derivative_evals": 0}
+                      "derivative_evals": 0, "tangent_updates": 0}
         self.set_condition(cond, theta, E)
 
     def set_condition(self, cond: OperatingCondition, theta, E):
@@ -418,6 +432,9 @@ class _Engine:
                                  np.asarray(E, dtype=float)[self.kept]))
         self.theta, self.E = self.x[:nk], self.x[nk:]
         self.ia = slice(None) if nk == n else np.r_[0:n, nk : nk + n]
+        self.il = np.r_[n:nk, nk + n : 2 * nk]
+        self.anchor = None
+        self.solved = False  # whether kcl's last evaluation is at x, after a solve
         self.k = np.empty((4, 2 * n))  # the RK4 stage rates
         self.stats["eliminated_buses"].append(len(self.elim))
 
@@ -439,15 +456,30 @@ class _Engine:
         return theta, E
 
     def resolve_algebraic(self) -> int:
-        """Newton on the nonlinear buses; nothing to do when none is kept."""
+        """Newton on the nonlinear buses from the predictor; nothing to do when none is kept."""
         if self.kcl is None:
             return 0
+        x, il = self.x, self.il
+        x_S = x[self.ia]  # the solve moves only x[il]
+        self.solved = False
+        if self.anchor is not None:
+            x_S0, x_L0, H = self.anchor
+            x[il] = x_L0 + H @ (x_S - x_S0)
+            E_L = self.E[self.n_act :]
+            np.maximum(E_L, 1e-6, out=E_L)  # the floor solve_algebraic's iterates keep
         try:
             its = solve_algebraic(self.kcl, self.theta, self.E)
         except NewtonError as exc:
             self.stats["newton_iters"] += exc.iterations or 0
             raise
         self.stats["newton_iters"] += its
+        if its or self.anchor is None:
+            H = self.kcl.tangent()
+            self.stats["tangent_updates"] += 1
+        else:
+            H = self.anchor[2]
+        self.anchor = (x_S, x[il], H)
+        self.solved = True
         return its
 
     def control_law(self, P_act, Q_act, E_act, out=None):
@@ -456,9 +488,16 @@ class _Engine:
         return control_derivative(self.control, P_act, Q_act, E_act, out)
 
     def derivative(self, out=None):
-        """Control law on the reduced network's injections at the kept state."""
+        """Control law on the reduced network's injections at the kept state.
+
+        Right after a solve they are ``kcl``'s, bit for bit what
+        ``injections_raw`` gives; otherwise they are evaluated here.
+        """
         n = self.n_act
-        P, Q = injections_raw(self.Y_red, self.theta, self.E)
+        if self.solved:
+            P, Q = self.kcl.S.real, self.kcl.S.imag
+        else:
+            P, Q = injections_raw(self.Y_red, self.theta, self.E)
         return self.control_law(P[:n], Q[:n], self.E[:n], out)[0]
 
     def _try_step(self, dt: float) -> int:
@@ -479,6 +518,7 @@ class _Engine:
             return self._try_step(dt)
         except NewtonError as exc:
             self.x[:] = saved
+            self.anchor = None
             if depth >= 4:
                 raise SimulationError(
                     f"step failed after 4 halvings (dt={dt:.3e}): {exc}"
@@ -503,9 +543,11 @@ def run_scenario(
     their timestamp, and records every ``record_stride`` steps.  P/Q and
     frequency columns come from the full network at the recorded state.
     ``meta["stats"]`` holds the run's counters: eliminated buses per
-    operating condition, Newton iterations, dt halvings and control-law
-    evaluations, plus the start used (``"initial"``, ``"equilibrium"`` or
-    ``"flat"``) and, for the flat fallback, why the equilibrium solve failed.
+    operating condition, Newton iterations, dt halvings, control-law
+    evaluations and rebuilds of the load-solve tangent
+    (``tangent_updates``), plus the start used (``"initial"``,
+    ``"equilibrium"`` or ``"flat"``) and, for the flat fallback, why the
+    equilibrium solve failed.
     """
     cfg = scenario.config
     n_steps = int(round(cfg.t_end / cfg.dt))

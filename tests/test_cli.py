@@ -166,7 +166,8 @@ def test_simulate_stats_prints_run_counters(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out.splitlines()[-1])
     # 20 RK4 steps of 4 stages, plus one law evaluation per recorded row (t = 0, 0.02, ..., 0.1)
     assert stats == {"derivative_evals": 86, "dt_halvings": 0, "eliminated_buses": [9, 10],
-                     "newton_iters": 0, "start": "equilibrium", "start_fallback": None}
+                     "newton_iters": 0, "start": "equilibrium", "start_fallback": None,
+                     "tangent_updates": 0}
 
 
 def _json_lines(text):

@@ -312,6 +312,31 @@ def test_load_solve_is_quadratic_near_a_solution(cpower14):
         assert np.abs(th - theta).max() < 1e-9 and np.abs(e - E).max() < 1e-9
 
 
+def test_load_solve_tangent_matches_finite_differences(cpower14):
+    """The tangent is the derivative of the solved load state in each source coordinate."""
+    rng = np.random.default_rng(14)
+    x_I = np.empty(2 * cpower14.n_inverters)
+    x_I[0::2] = rng.uniform(-0.05, 0.05, cpower14.n_inverters)
+    x_I[1::2] = rng.uniform(0.97, 1.03, cpower14.n_inverters)
+    theta, E = flat_start(cpower14, x_I)
+    load = list(cpower14.load_ids)
+    kcl = LoadBusKCL(mg.build_admittance(cpower14), load, LoadArrays.of(cpower14.loads(), load))
+    solve_algebraic(kcl, theta, E)
+    H = kcl.tangent()
+    assert kcl.src.tolist() == list(cpower14.inverter_ids)
+
+    def solved_loads(comp, k, step):
+        th, e = theta.copy(), E.copy()
+        (th, e)[comp][k] += step
+        solve_algebraic(kcl, th, e)
+        return np.concatenate((th[load], e[load]))
+
+    h = 1e-6
+    columns = [(solved_loads(comp, k, h) - solved_loads(comp, k, -h)) / (2 * h)
+               for comp in (0, 1) for k in kcl.src]
+    assert rel_err(H, np.column_stack(columns)).max() < 1e-6
+
+
 def test_kron_reduce_is_exact_elimination(mixed_case):
     case = mixed_case
     Y = mg.build_admittance(case)

@@ -317,6 +317,7 @@ def test_bundled_loadstep_is_solved_by_elimination_alone(case14, Y14, gains14):
         "newton_iters": 0,
         "dt_halvings": 0,
         "derivative_evals": 4 * n_steps + tr.n_rows,
+        "tangent_updates": 0,
         "start": "equilibrium",
         "start_fallback": None,
     }
@@ -426,12 +427,79 @@ def test_line_search_failure_halves_dt(monkeypatch, mixed_case):
     assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
 
 
+def law_from_scratch(eng):
+    """The control law on injections evaluated afresh at the engine's kept state."""
+    n = eng.n_act
+    P, Q = injections_raw(eng.Y_red, eng.theta, eng.E)
+    return control_derivative(eng.control, P[:n], Q[:n], eng.E[:n])[0]
+
+
+def cpower14_engine(case, gains):
+    """An engine just after a load step, a few steps in, so every solve has to move."""
+    Y = mg.build_admittance(case)
+    x0 = solve_equilibrium(case, Y)
+    step = FaultEvent(time=0.0, kind="load_step", bus=9, dP=0.05, dQ=0.02)
+    eng = _Engine(case, gains, Y, apply_event(case, OperatingCondition.initial(case), step),
+                  x0.theta, x0.E)
+    eng.resolve_algebraic()
+    assert np.array_equal(eng.derivative(), law_from_scratch(eng))
+    for _ in range(3):
+        eng.advance(0.005)
+    return eng
+
+
+def test_halved_retry_after_stage_3_failure_matches_fresh_half_steps(monkeypatch, cpower14,
+                                                                    gains14):
+    """A rollback drops the predictor's anchor, so the retry depends only on the saved state."""
+    eng = cpower14_engine(cpower14, gains14)
+    assert eng.anchor is not None
+    fresh = _Engine(cpower14, gains14, eng.Y, eng.cond, *eng.full())
+    calls = []
+    solve = sim.solve_algebraic
+
+    def third_fails(kcl, theta, E):
+        calls.append(len(calls) + 1)
+        if len(calls) == 3:
+            raise NewtonError("synthetic stage-3 failure", iterations=0)
+        return solve(kcl, theta, E)
+
+    monkeypatch.setattr(sim, "solve_algebraic", third_fails)
+    eng.advance(0.005)
+    monkeypatch.undo()
+    assert len(calls) == 3 + 2 * 4 and eng.stats["dt_halvings"] == 1
+    fresh.advance(0.0025)
+    fresh.advance(0.0025)
+    assert np.array_equal(eng.x, fresh.x)  # the same operations on the same state
+    assert np.array_equal(eng.derivative(), law_from_scratch(eng))
+
+
+def test_derivative_after_rollback_is_evaluated_afresh(monkeypatch, cpower14, gains14):
+    """After a failed step the KCL's powers belong to an abandoned stage, not to x."""
+    eng = cpower14_engine(cpower14, gains14)
+    saved = eng.x.copy()
+    solve = sim.solve_algebraic
+    calls = []
+
+    def fails_after_two(kcl, theta, E):
+        calls.append(1)
+        if len(calls) > 2:
+            raise NewtonError("synthetic failure", iterations=0)
+        return solve(kcl, theta, E)
+
+    monkeypatch.setattr(sim, "solve_algebraic", fails_after_two)
+    with pytest.raises(SimulationError):
+        eng.advance(0.005)
+    assert np.array_equal(eng.x, saved) and eng.anchor is None
+    assert np.array_equal(eng.derivative(), law_from_scratch(eng))
+
+
 def test_constant_power_newton_counts_are_pinned(cpower14, gains14):
-    """Newton iteration counts of a short constant-power run, as first recorded.
+    """Newton iteration counts of a short constant-power run, as recorded with the tangent predictor.
 
     A DER loss leaves a residual load, so the set of nonlinear buses grows
-    mid-run.  An inexact Newton matrix still converges and passes every KCL
-    check, but it takes more iterations, which these exact counts catch.
+    mid-run.  An inexact Newton matrix or tangent still converges and
+    passes every KCL check, but it takes extra iterations (and rebuilds
+    the tangent more often), which these exact counts catch.
     """
     scn = scenario_of(cpower14, [
         {"t": 0.1, "kind": "der_loss", "bus": 1, "residual": {"P": 0.03, "Q": 0.015}},
@@ -440,13 +508,14 @@ def test_constant_power_newton_counts_are_pinned(cpower14, gains14):
     tr = run_scenario(cpower14, gains14, scn)
     assert tr.meta["stats"] == {
         "eliminated_buses": [1, 1, 1],
-        "newton_iters": 246,
+        "newton_iters": 86,
         "dt_halvings": 0,
         "derivative_evals": 253,
+        "tangent_updates": 83,
         "start": "equilibrium",
         "start_fallback": None,
     }
-    assert tr.newton_iters.tolist() == [0, 0, 0, 0, 3, 30, 30, 30, 33, 30, 30, 30, 30]
+    assert tr.newton_iters.tolist() == [0, 0, 0, 0, 3, 10, 10, 10, 13, 10, 10, 10, 10]
 
 
 def test_losing_every_inverter_is_a_simulation_error(mixed_case):
