@@ -827,12 +827,8 @@ def _stage1_block(case, blk, D, iters):
     return best_blocks
 
 
-def stage1_gains(
-    case: NetworkCase,
-    hull: IntervalHull,
-    iters: int = 300,
-) -> GainSet:
-    """Subgradient descent on the per-block spectral abscissa.
+def stage1_gains(case: NetworkCase, hull: IntervalHull, iters: int) -> GainSet:
+    """Subgradient descent on the per-block spectral abscissa, ``iters`` steps.
 
     Minimizes max_D lambda_max(D K_b + K_b^T D^T) per block, projected
     onto the slabs of the controller's default rate limits over the

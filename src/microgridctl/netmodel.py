@@ -16,6 +16,7 @@ Conventions (per-unit throughout):
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections import deque
@@ -171,9 +172,10 @@ class Line:
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: R, X and B_sh must be finite, I_max a number"
             )
-        if self.R == 0.0 and self.X == 0.0:
+        # a subnormal R + jX overflows 1/(R + jX) as surely as a zero one divides by zero
+        if (self.R == 0.0 and self.X == 0.0) or not cmath.isfinite(self.series_admittance()):
             raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: singular impedance (R = X = 0)"
+                f"line {self.from_bus}-{self.to_bus}: singular impedance (1/(R + jX) not finite)"
             )
 
     @property
@@ -336,6 +338,8 @@ class AdmittanceMatrix:
         Y = np.array(self.Y, dtype=complex)
         if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
             raise ValidationError("admittance matrix must be square")
+        if not np.isfinite(Y).all():
+            raise ValidationError("admittance matrix has non-finite entries")
         asym = np.abs(Y - Y.T).max() if Y.size else 0.0
         if asym > 1e-12:
             raise ValidationError(f"admittance matrix not symmetric (max dev {asym:.2e})")

@@ -7,14 +7,12 @@ of the load-bus KCL equations, the coupling-ratio bound between load-bus
 and inverter-bus state velocities, and the classical existence-condition
 checker.
 
-Two forms of the Jacobian coexist.  The real, polar form is
-``full_jacobian``, batched over leading stack axes of states: the
-certificate hull (``certify.entry_bounds``, one call over every corner
-profile of a block), ``jacobians``, ``kcl_jacobian_parts`` and the
-equilibrium solve all take it.  The simulator's load-bus Newton sets up a
-``LoadBusKCL`` once per operating condition and differentiates in complex
-form over the algebraic columns only, and over the source columns for the
-tangent that predicts each solve's start.
+The real, polar Jacobian ``full_jacobian`` is batched over leading stack
+axes of states; the certificate hull, ``jacobians``, ``kcl_jacobian_parts``
+and the equilibrium solve take it.  The simulator's load-bus Newton
+differentiates a ``LoadBusKCL`` once per call in complex form, over the
+algebraic columns (its Newton matrix) and the source columns (the tangent
+that predicts each solve's start).
 
 Sign conventions: injections are generation-positive, load demand is
 consumption-positive, so the KCL residual at a load bus reads
@@ -259,19 +257,16 @@ class LoadBusKCL:
 
     ``alg_ids`` are the buses' positions in Y and in the work arrays that
     ``solve_algebraic`` moves; ``loads`` lists their loads in the same
-    order.  Every other bus of Y is a source.  Holds Y, the conjugates of
-    the algebraic rows' own block ``Y_aa`` and source block ``Y_aS``, the
-    loads' complex demand coefficients, and preallocated work buffers
-    ending in the 2m x 2m Newton matrix.  ``residual`` evaluates
-    V = E e^{j theta} and S = V conj(Y V) over every bus once per iterate,
-    with the arithmetic of ``injections_raw``, and keeps S, V_a, S_a and
-    E_a: after a solve, S holds the sources' injections at the solution.
-    ``jacobian`` differentiates at that iterate in complex form, over the
-    algebraic columns only, as MATPOWER's ``dSbus_dV`` does (Zimmerman,
-    Murillo-Sanchez & Thomas, IEEE Trans. Power Systems 26(1), 2011);
-    ``tangent`` gives the implicit-function tangent of the solution with
-    respect to the sources, the predictor of continuation power flow
-    (Ajjarapu & Christy, IEEE Trans. Power Systems 7(1), 1992).
+    order.  Every other bus of Y is a source.  ``residual`` evaluates
+    S = V conj(Y V) over every bus with the arithmetic of
+    ``injections_raw``, so after a solve S holds the sources' injections.
+    ``derivative`` differentiates at that iterate in complex form, as
+    MATPOWER's ``dSbus_dV`` does (Zimmerman, Murillo-Sanchez & Thomas,
+    IEEE Trans. Power Systems 26(1), 2011), over the columns ``cols``: the
+    algebraic buses, then the sources ``src``.  Its algebraic columns
+    ``J`` are the Newton matrix; its source columns ``J_LS`` give the
+    tangent, the predictor of continuation power flow (Ajjarapu & Christy,
+    IEEE Trans. Power Systems 7(1), 1992).
     """
 
     def __init__(self, Y: AdmittanceMatrix, alg_ids, loads: LoadArrays):
@@ -282,76 +277,70 @@ class LoadBusKCL:
         self.sel = slice(int(alg[0]), int(alg[0]) + m) if contiguous else alg
         self.Y = Y.Y
         self.src = np.setdiff1d(np.arange(len(Y.Y)), alg)
-        # Y.Y[alg][:, alg] comes out Fortran-ordered; row order keeps B's product fast
-        self.conj_Y_aa = np.ascontiguousarray(np.conj(Y.Y[alg][:, alg]))
-        self.conj_Y_aS = np.conj(Y.Y[np.ix_(alg, self.src)])
+        self.cols = np.concatenate((alg, self.src))
+        n = len(self.cols)
+        self.conj_Y_a = np.conj(Y.Y[np.ix_(alg, self.cols)])  # C-ordered: B's product is fast
         # demand Pd + j Qd = (P + jQ) + (G + jB) E^2, and its E-derivative
         self.demand_const = loads.P + 1j * loads.Q
         self.demand_coef = loads.G + 1j * loads.B
         self.d_demand = 2.0 * self.demand_coef
-        # Work buffers with writable views of their diagonals.  Each buffer
-        # is allocated C-contiguous, so reshape(-1) is a view; were it a
-        # copy (as it is of a Fortran-ordered array), diagonal writes
-        # through it would be lost.
-        self.B = np.empty((m, m), dtype=complex)
-        self.B_diag = self.B.reshape(-1)[:: m + 1]
-        # dS[i, k] = [dS_i/dtheta_k, dS_i/dE_k]
-        self.dS = np.empty((m, m, 2), dtype=complex)
+        # Work buffers with writable views of their own-bus entries.  Each is
+        # C-contiguous, so reshape(-1) is a view: a copy would lose the writes.
+        self.B = np.empty((m, n), dtype=complex)
+        self.B_diag = self.B.reshape(-1)[:: n + 1]
+        # dS[i, k] = [dS_i/dtheta_k, dS_i/dE_k] for the k-th of cols
+        self.dS = np.empty((m, n, 2), dtype=complex)
         self.dS_dtheta, self.dS_dE = self.dS[..., 0], self.dS[..., 1]
-        self.dS_dtheta_diag = self.dS.reshape(-1)[0 :: 2 * (m + 1)]
-        self.dS_dE_diag = self.dS.reshape(-1)[1 :: 2 * (m + 1)]
-        # the Newton matrix, rows P_i, Q_i and columns theta_k, E_k interleaved:
-        # J[2i + r, 2k + c] is part r (real, imaginary) of dS[i, k, c]
-        self.J = np.empty((2 * m, 2 * m))
-        self.J_view = self.J.reshape(m, 2, m, 2)
-        self.dS_view = self.dS.view(float).reshape(m, m, 2, 2).transpose(0, 3, 1, 2)
+        self.dS_dtheta_diag = self.dS.reshape(-1)[0 :: 2 * (n + 1)]
+        self.dS_dE_diag = self.dS.reshape(-1)[1 :: 2 * (n + 1)]
+        # rows P_i, Q_i and columns theta_k, E_k interleaved:
+        # D[2i + r, 2k + c] is part r (real, imaginary) of dS[i, k, c]
+        self.D = np.empty((2 * m, 2 * n))
+        self.D_view = self.D.reshape(m, 2, n, 2)
+        self.J, self.J_LS = self.D[:, : 2 * m], self.D[:, 2 * m :]
+        self.dS_view = self.dS.view(float).reshape(m, n, 2, 2).transpose(0, 3, 1, 2)
 
     def residual(self, theta, E):
-        """Stacked [P_i + Pd_i(E_i), Q_i + Qd_i(E_i)]; keeps S, V_a, S_a, E_a."""
+        """Stacked [P_i + Pd_i(E_i), Q_i + Qd_i(E_i)]; keeps V, S, S_a and E over cols."""
         self.V = V = E * np.exp(1j * theta)
         self.S = V * np.conj(self.Y.dot(V))
-        self.V_a = V[self.sel]
-        self.E_a = E_a = E[self.sel].copy()
         self.S_a = self.S[self.sel]
+        self.E_cols = E[self.cols]
+        E_a = self.E_cols[: self.m]
         # complex128 viewed as float64 is the interleaved [real, imaginary] pairs
         return (self.S_a + (self.demand_const + self.demand_coef * E_a * E_a)).view(float)
 
-    def jacobian(self):
-        """Newton matrix at the last ``residual``'s iterate, in a buffer the next call reuses.
+    def derivative(self):
+        """Fill ``D`` (so ``J`` and ``J_LS``) at the last ``residual``'s iterate.
 
-        With B = diag(V_a) conj(Y_aa diag(V_a)):
-        dS/dtheta_a = j (diag(S_a) - B), dS/dE_a = (B + diag(S_a)) diag(E_a)^-1,
-        and the loads add 2 G E and 2 B E on the E diagonal.
+        With B = diag(V_a) conj(Y_a diag(V)) over cols, dS/dtheta = j diag(S_a) - j B
+        and dS/dE = (B + diag(S_a)) diag(E)^-1 plus the loads' 2 (G + jB) E_a.
         """
-        V_a, B = self.V_a, self.B
-        np.multiply(V_a[:, None], self.conj_Y_aa * np.conj(V_a), out=B)
+        V, E, B = self.V[self.cols], self.E_cols, self.B
+        np.multiply(V[: self.m, None], self.conj_Y_a * np.conj(V), out=B)
         np.multiply(B, -1j, out=self.dS_dtheta)
         self.dS_dtheta_diag += 1j * self.S_a
         self.B_diag += self.S_a
-        np.divide(B, self.E_a, out=self.dS_dE)
-        self.dS_dE_diag += self.d_demand * self.E_a
-        self.J_view[...] = self.dS_view
+        np.divide(B, E, out=self.dS_dE)
+        self.dS_dE_diag += self.d_demand * E[: self.m]
+        self.D_view[...] = self.dS_view
+
+    def jacobian(self):
+        """Newton matrix at the last ``residual``'s iterate, in a buffer the next call reuses."""
+        self.derivative()
         return self.J
 
     def tangent(self):
-        """H = -J_LL^-1 J_LS at the last ``residual``'s iterate, a solution.
+        """H = -J^-1 J_LS at a solution, rows [theta_a; E_a] and columns [theta_S; E_S].
 
-        J_LL is the Newton matrix and J_LS the same derivative over the
-        source columns: with B = diag(V_a) conj(Y_aS diag(V_S)),
-        dS_a/dtheta_S = -j B and dS_a/dE_S = B diag(E_S)^-1; the loads add
-        nothing.  H maps a move [dtheta_S; dE_S] of the sources, in
-        ascending bus order, to the solution's first-order move
-        [dtheta_a; dE_a].  Raises NewtonError when J_LL is singular.
+        Raises NewtonError when J is singular.
         """
-        V_S = self.V[self.src]
-        B = self.V_a[:, None] * (self.conj_Y_aS * np.conj(V_S))
-        dS = np.hstack((-1j * B, B / np.abs(V_S)))  # columns [theta_S, E_S]
-        J_LS = np.stack((dS.real, dS.imag), axis=1).reshape(2 * self.m, -1)
+        self.derivative()
         try:
-            H = np.linalg.solve(self.jacobian(), J_LS)
+            H = np.linalg.solve(self.J, self.J_LS)
         except np.linalg.LinAlgError:
             raise NewtonError("singular Newton matrix at the load-solve tangent") from None
-        return -np.concatenate((H[0::2], H[1::2]))
+        return -H.reshape(self.m, 2, -1, 2).transpose(1, 0, 3, 2).reshape(2 * self.m, -1)
 
 
 def solve_algebraic(kcl: LoadBusKCL, theta: np.ndarray, E: np.ndarray):

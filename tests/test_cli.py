@@ -233,6 +233,17 @@ def _scenario(text):
     return argv
 
 
+def _subnormal_line(command, patch):
+    def argv(tmp_path):
+        doc = json.loads(open(CASE, encoding="utf-8").read())
+        doc["lines"][0].update(patch)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        scenario = str(bundled.data_path(bundled.SCENARIO_LOADSTEP))
+        return [command, str(path), GAINS] + ([scenario] if command == "simulate" else [])
+    return argv
+
+
 BAD_INPUTS = {
     "metrics_non_numeric_cell": _non_numeric_cell,
     "metrics_without_t_column": _no_t_column,
@@ -241,6 +252,8 @@ BAD_INPUTS = {
     "ranges_non_integer_bus": _ranges('{"P": {"x": [0.0, 1.0]}}'),
     "check_case_on_a_directory": lambda tmp_path: ["check-case", str(tmp_path)],
     "simulate_too_many_steps": _scenario('{"sim": {"t_end": 1e12, "dt": 0.005}}'),
+    "simulate_subnormal_line_R": _subnormal_line("simulate", {"R": 1e-320, "X": 0.0}),
+    "certify_subnormal_line_X": _subnormal_line("certify", {"R": 0.0, "X": 1e-310}),
 }
 
 

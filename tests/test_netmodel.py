@@ -247,6 +247,19 @@ def test_nan_line_resistance_is_validation_error():
         mg.parse_case(_case_text(line_patch={"R": math.nan}))
 
 
+@pytest.mark.parametrize("patch", [{"R": 1e-320, "X": 0.0}, {"R": 0.0, "X": 1e-310}])
+def test_subnormal_line_impedance_is_validation_error(patch):
+    """1/(R + jX) overflows to inf, and the admittance matrix would carry it."""
+    with pytest.raises(ValidationError, match="singular impedance"):
+        mg.parse_case(_case_text(line_patch=patch))
+
+
+def test_admittance_matrix_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            mg.AdmittanceMatrix(Y=np.array([[bad, -1.0], [-1.0, 1.0]]))
+
+
 def test_infinite_bus_voltage_limit_is_validation_error():
     with pytest.raises(ValidationError, match="finite"):
         mg.parse_case(_case_text(bus_patch={"E_max": math.inf}))

@@ -265,8 +265,12 @@ def test_load_bus_newton_matrix_matches_real_form_and_finite_differences(request
         g = kcl.residual(theta, E)
         assert np.abs(g - kcl_residual(Y, theta, E, alg, loads)).max() < 1e-14
         J = kcl.jacobian().copy()
-        real_form = kcl_matrix(full_jacobian(Y, theta, E, alg), alg, E, loads)
+        blocks = full_jacobian(Y, theta, E, alg)
+        real_form = kcl_matrix(blocks, alg, E, loads)
         assert np.abs(J - real_form).max() <= 1e-12 * np.abs(real_form).max()
+        # the same derivative's source columns, which the loads leave alone
+        src_form = interleave(blocks, kcl.src)
+        assert np.abs(kcl.J_LS - src_form).max() <= 1e-12 * np.abs(src_form).max()
         if first is None:
             first = J
     # the buffers carry nothing from one iterate to the next
@@ -290,9 +294,10 @@ def test_load_bus_newton_matrix_matches_real_form_and_finite_differences(request
     # view of a copy (as reshape/ravel make of a Fortran-ordered array) would
     # lose the write.
     for view, buffer in ((kcl.B_diag, kcl.B), (kcl.dS_dtheta_diag, kcl.dS),
-                         (kcl.dS_dE_diag, kcl.dS), (kcl.J_view, kcl.J)):
+                         (kcl.dS_dE_diag, kcl.dS), (kcl.D_view, kcl.D), (kcl.J, kcl.D),
+                         (kcl.J_LS, kcl.D)):
         assert np.shares_memory(view, buffer)
-    assert kcl.conj_Y_aa.flags.c_contiguous and kcl.J.flags.c_contiguous
+    assert kcl.conj_Y_a.flags.c_contiguous and kcl.D.flags.c_contiguous
 
 
 def test_load_solve_is_quadratic_near_a_solution(cpower14):
