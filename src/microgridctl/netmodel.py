@@ -116,10 +116,6 @@ class LoadArrays(NamedTuple):
         """Consumed (P, Q) at the magnitudes E: P + G E^2, Q + B E^2."""
         return self.P + self.G * E * E, self.Q + self.B * E * E
 
-    def demand_derivative(self, E: np.ndarray):
-        """d(P, Q)/dE of the consumed power: 2 G E, 2 B E."""
-        return 2.0 * self.G * E, 2.0 * self.B * E
-
 
 @dataclass(frozen=True)
 class Bus:
@@ -189,6 +185,8 @@ class Line:
 
 
 def _as_edge(pair) -> tuple[int, int]:
+    if len(pair) != 2:
+        raise ParseError(f"comm edge {list(pair)} must have two ends")
     a, b = int(pair[0]), int(pair[1])
     if a == b:
         raise ValidationError(f"comm edge ({a}, {b}) is a self loop")
@@ -257,6 +255,8 @@ class NetworkCase:
             raise ValidationError(f"gamma must lie in [0, pi/2), got {self.gamma}")
         if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
             raise ValidationError("omega0 must be positive and finite")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.base_mva, self.base_kv)):
+            raise ValidationError("base_mva and base_kv must be positive and finite")
 
         n = len(buses)
         seen_lines = set()

@@ -1,18 +1,18 @@
 """Power-flow quantities and the algebraic load-bus solver.
 
-Active/reactive injections, the analytic power-flow Jacobian and the
-interleaved matrices built from it, Kron elimination of linear load buses,
-the damped Newton solver shared by every algebraic solve, the Newton solve
-of the load-bus KCL equations, the coupling-ratio bound between load-bus
-and inverter-bus state velocities, and the classical existence-condition
-checker.
+Active/reactive injections, the analytic power-flow Jacobian, Kron
+elimination of linear load buses, the damped Newton solver shared by
+every algebraic solve, the Newton solve of the load-bus KCL equations,
+the coupling-ratio bound between load-bus and inverter-bus state
+velocities, and the classical existence-condition checker.
 
-The real, polar Jacobian ``full_jacobian`` is batched over leading stack
-axes of states; the certificate hull, ``jacobians``, ``kcl_jacobian_parts``
-and the equilibrium solve take it.  The simulator's load-bus Newton
-differentiates a ``LoadBusKCL`` once per call in complex form, over the
-algebraic columns (its Newton matrix) and the source columns (the tangent
-that predicts each solve's start).
+``LoadBusKCL`` holds the one derivative of the power-flow equations
+outside the certificate hull, taken in complex form over its rows'
+columns, then the source columns.  The load-bus Newton, the tangent that
+predicts each solve's start, the equilibrium solve, the coupling bound
+and ``jacobians`` all take it.  The certificate hull keeps the real,
+polar ``full_jacobian``, batched over leading stack axes of states, and
+the tests take that as the reference the complex form must match.
 
 Sign conventions: injections are generation-positive, load demand is
 consumption-positive, so the KCL residual at a load bus reads
@@ -158,12 +158,10 @@ def interleave(blocks, cols):
 
 def jacobians(case: NetworkCase, Y: AdmittanceMatrix, x: VoltageProfile) -> JacobianPair:
     """Analytic Jacobians of S_I with respect to inverter and load states."""
-    blocks = full_jacobian(Y, x.theta, x.E, rows=case.inverter_ids)
+    kcl = LoadBusKCL(Y, case.inverter_ids, LoadArrays(*np.zeros((4, case.n_inverters))))
+    kcl.residual(x.theta, x.E)
     scale = np.stack((case.p_star(), case.q_star()), axis=1).reshape(-1, 1)  # P*, Q* per row
-    return JacobianPair(
-        J_I=interleave(blocks, list(case.inverter_ids)) / scale,
-        J_L=interleave(blocks, list(case.load_ids)) / scale,
-    )
+    return JacobianPair(J_I=kcl.jacobian() / scale, J_L=kcl.J_LS / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +236,15 @@ def kcl_residual(Y: AdmittanceMatrix, theta, E, alg_ids, loads: LoadArrays):
     return g
 
 
-def kcl_matrix(blocks, alg_ids, E, loads: LoadArrays, lead=()):
-    """Jacobian of the KCL residual over alg_ids w.r.t. x over lead + alg_ids.
-
-    ``blocks`` are the full_jacobian blocks over the rows alg_ids; the
-    loads' dDemand/dE lands on each algebraic bus's own E column.
-    """
-    G = interleave(blocks, list(lead) + list(alg_ids) if len(lead) else alg_ids)
-    own_E = G[:, 2 * len(lead) + 1 :: 2]  # the E columns of alg_ids
-    for rows, d_demand in zip((own_E[0::2], own_E[1::2]), loads.demand_derivative(E[alg_ids])):
-        diag = np.einsum("ii->i", rows)  # a writable view of each bus's own entry
-        diag += d_demand
-    return G
-
-
 class LoadBusKCL:
     """The KCL equations of a fixed set of algebraic buses, set up once.
 
     ``alg_ids`` are the buses' positions in Y and in the work arrays that
     ``solve_algebraic`` moves; ``loads`` lists their loads in the same
-    order.  Every other bus of Y is a source.  ``residual`` evaluates
-    S = V conj(Y V) over every bus with the arithmetic of
-    ``injections_raw``, so after a solve S holds the sources' injections.
+    order; a bus given zero demand has its injection as its row.  Every
+    other bus of Y is a source.  ``residual`` evaluates S = V conj(Y V)
+    over every bus with the arithmetic of ``injections_raw``, so after a
+    solve S holds the sources' injections.
     ``derivative`` differentiates at that iterate in complex form, as
     MATPOWER's ``dSbus_dV`` does (Zimmerman, Murillo-Sanchez & Thomas,
     IEEE Trans. Power Systems 26(1), 2011), over the columns ``cols``: the
@@ -407,14 +392,6 @@ def kron_reduce(Y: AdmittanceMatrix, keep, shunts: dict[int, complex]):
 # ---------------------------------------------------------------------------
 
 
-def kcl_jacobian_parts(case: NetworkCase, Y: AdmittanceMatrix, x: VoltageProfile):
-    """Jacobians (f_I, f_L) of the load-bus KCL residual w.r.t. x_I and x_L."""
-    load = list(case.load_ids)
-    blocks = full_jacobian(Y, x.theta, x.E, rows=load)
-    f = kcl_matrix(blocks, load, x.E, LoadArrays.of(case.loads(), load), lead=case.inverter_ids)
-    return f[:, : 2 * case.n_inverters], f[:, 2 * case.n_inverters :]
-
-
 @dataclass(frozen=True)
 class KappaEstimate:
     """Sampled bound on ||xdot_L|| / ||xdot_I|| over the security set."""
@@ -431,22 +408,26 @@ def kappa_bound(
 ) -> KappaEstimate:
     """Max over samples of ||pinv(f_L) @ f_I||_2.
 
-    The pseudo-inverse covers rank-deficient f_L; such samples are flagged
-    by index.  A network with no load buses yields kappa = 0.
+    f_L and f_I are the ``J`` and ``J_LS`` of a ``LoadBusKCL`` over the
+    loads, whose sources are the inverters in ascending order.  The
+    pseudo-inverse covers rank-deficient f_L; such samples are flagged by
+    index.  A network with no load buses yields kappa = 0.
     """
     samples = list(sample_set)
     if not samples:
         raise ValidationError("kappa_bound needs a nonempty sample set")
     if not case.load_ids:
         return KappaEstimate(kappa=0.0, per_sample=tuple(0.0 for _ in samples), rank_deficient=())
+    kcl = LoadBusKCL(Y, case.load_ids, LoadArrays.of(case.loads(), case.load_ids))
     vals = []
     deficient = []
     for k, x in enumerate(samples):
-        f_I, f_L = kcl_jacobian_parts(case, Y, x)
+        kcl.residual(x.theta, x.E)
+        f_L = kcl.jacobian()
         sv = np.linalg.svd(f_L, compute_uv=False)
         if sv[-1] < RANK_RTOL * sv[0]:
             deficient.append(k)
-        gain = np.linalg.pinv(f_L, rcond=RANK_RTOL) @ f_I
+        gain = np.linalg.pinv(f_L, rcond=RANK_RTOL) @ kcl.J_LS  # J_LS is f_I
         vals.append(float(np.linalg.norm(gain, 2)))
     return KappaEstimate(kappa=max(vals), per_sample=tuple(vals), rank_deficient=tuple(deficient))
 

@@ -41,10 +41,7 @@ from .powerflow import (
     NewtonError,
     VoltageProfile,
     damped_newton,
-    full_jacobian,
     injections_raw,
-    interleave,
-    kcl_matrix,
     kron_reduce,
     solve_algebraic,
 )
@@ -303,10 +300,12 @@ def solve_equilibrium(
 
     Unknowns are the common sharing levels (alpha, beta), the non-reference
     inverter states, and the algebraic-bus states, with the reference
-    inverter pinned at angle 0 and magnitude ``pin_E``.  With ``pin_E``
-    omitted, the pin is auto-centered: solve once at nominal, then shift
-    the whole profile so its magnitude range sits mid-box (the sharing
-    equilibrium family is one-dimensional in the voltage level).
+    inverter pinned at angle 0 and magnitude ``pin_E``.  A ``LoadBusKCL``
+    over every bus, with zero demand on the inverters so that their rows
+    are their injections, gives the residual and the Newton matrix.  With
+    ``pin_E`` omitted, the pin is auto-centered: solve once at nominal,
+    then shift the whole profile so its magnitude range sits mid-box (the
+    sharing equilibrium family is one-dimensional in the voltage level).
     """
     if condition is None:
         condition = OperatingCondition.initial(case)
@@ -323,9 +322,9 @@ def solve_equilibrium(
     active = list(condition.active_inverters)
     alg = list(condition.algebraic_ids(case))
     loads = LoadArrays.of(condition.effective_loads(case), alg)
-    free_inv = active[1:]  # the reference inverter active[0] is pinned
-    var_ids = free_inv + alg  # theta/E pairs, after (alpha, beta)
+    var_ids = active[1:] + alg  # theta/E pairs after (alpha, beta); active[0] is pinned
     n_act = len(active)
+    kcl = LoadBusKCL(Y, active + alg, LoadArrays(*np.hstack((np.zeros((4, n_act)), loads))))
 
     theta = np.zeros(case.n)
     E = np.ones(case.n)
@@ -339,22 +338,16 @@ def solve_equilibrium(
     ])
 
     def residual():
-        P, Q = injections_raw(Y, theta, E)
-        pd, qd = loads.demand(E[alg])
-        g = np.empty(2 * (n_act + len(alg)))
-        g[0 : 2 * n_act : 2] = P[active] - level[0] * p_star
-        g[1 : 2 * n_act : 2] = Q[active] - level[1] * q_star
-        g[2 * n_act :: 2] = P[alg] + pd
-        g[2 * n_act + 1 :: 2] = Q[alg] + qd
+        g = kcl.residual(theta, E)
+        g[0 : 2 * n_act : 2] -= level[0] * p_star
+        g[1 : 2 * n_act : 2] -= level[1] * q_star
         return g
 
     def jacobian():
-        blocks = full_jacobian(Y, theta, E, active + alg)
-        J = np.zeros((2 * (n_act + len(alg)), 2 + 2 * len(var_ids)))
+        J = kcl.jacobian()
+        J[:, :2] = 0.0  # the pinned reference inverter's columns give way to the levels'
         J[0 : 2 * n_act : 2, 0] = -p_star
         J[1 : 2 * n_act : 2, 1] = -q_star
-        J[: 2 * n_act, 2:] = interleave([b[:n_act] for b in blocks], var_ids)
-        J[2 * n_act :, 2:] = kcl_matrix([b[n_act:] for b in blocks], alg, E, loads, lead=free_inv)
         return J
 
     def get():

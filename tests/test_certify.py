@@ -479,14 +479,14 @@ def test_search_certificate_is_frozen(case14, gains14_synth, hull14):
     """The screened search returns, bit for bit, the certificate that exact
     margins at every vertex gave (values recorded before the screen).  zeta
     is zeta_requested / 2^10, and zeta_requested is recorded from the
-    sequential-row-sum ``full_jacobian`` behind ``kappa_bound`` and
+    complex-form ``LoadBusKCL`` derivative behind ``kappa_bound`` and
     ``jacobians``."""
     cert = certificate_for_gains(case14, gains14_synth, hull14, u_steps=5)
     assert hashlib.sha256(cert.U.tobytes()).hexdigest() == (
         "b405dde8f156e62be7c427ea26344a501876284c7475da647940bec8e45885e8")
     assert float(cert.eps).hex() == "0x1.1abb97a6c386ep+2"
     assert float(cert.xi).hex() == "0x1.197b7414a4d2cp-2"
-    assert float(cert.zeta).hex() == "0x1.cf96f58bf6040p-3"
+    assert float(cert.zeta).hex() == "0x1.cf96f58bf5ffap-3"
     assert float(cert.d).hex() == "0x1.a88370d6cefc7p-3"
     assert cert.meta["search_method"] == "subgradient"
     stats = cert.meta["stats"]
@@ -633,8 +633,9 @@ def test_stage1_is_frozen(separated_pair_case):
     """Stage 1 and the two-stage synthesis give, bit for bit, the gains and
     certificate recorded when the capacity box and the rate limits were
     arguments (passed their default values).  The synthesis digest is recorded
-    from the sequential-row-sum ``full_jacobian``: only its zeta, through
-    zeta_requested, differs from the pairwise-sum kernel's."""
+    from the complex-form ``LoadBusKCL`` derivative behind ``kappa_bound``
+    and ``jacobians``: only its zeta, through zeta_requested, differs from
+    the real-form ``full_jacobian``'s."""
     gains = stage1_gains(separated_pair_case, build_hull(separated_pair_case), iters=80)
     blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
     assert _digest(*blocks, [gains.theta_dot_max, gains.E_dot_max]) == (
@@ -642,7 +643,7 @@ def test_stage1_is_frozen(separated_pair_case):
     gains, cert = certify.synthesize_gains(separated_pair_case, stage1_iters=120)
     blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
     assert _digest(*blocks, cert.U, [cert.eps, cert.xi, cert.zeta, cert.d]) == (
-        "b22818c90e6b008fc2c520d8669e1f2d25b5ba318f7b34714f3defc5f4fa74c9")
+        "5b2b2a5b8824d9c8125c02bb884970bc89f20017aadd5c238d3cc069fe25914b")
 
 
 def test_certificate_for_infeasible_gains_raises(separated_pair_case):

@@ -198,7 +198,7 @@ def test_parse_error_reports_field():
         mg.parse_case("not json at all")
     doc = json.loads(_case_text())
     doc["comm_edges"] = [[0]]  # an edge with one endpoint
-    with pytest.raises(mg.ParseError, match="IndexError"):
+    with pytest.raises(mg.ParseError, match=r"comm edge \[0\] must have two ends"):
         mg.parse_case(json.dumps(doc))
 
 
@@ -263,6 +263,21 @@ def test_admittance_matrix_rejects_non_finite_entries():
 def test_infinite_bus_voltage_limit_is_validation_error():
     with pytest.raises(ValidationError, match="finite"):
         mg.parse_case(_case_text(bus_patch={"E_max": math.inf}))
+
+
+def test_comm_edge_with_three_ends_is_parse_error():
+    doc = json.loads(_case_text())
+    doc["comm_edges"] = [[0, 1, 7]]
+    with pytest.raises(mg.ParseError, match=r"comm edge \[0, 1, 7\] must have two ends"):
+        mg.parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("params", [{"base_mva": 1e999}, {"base_kv": -13.8}, {"base_mva": 0.0}])
+def test_non_finite_or_non_positive_base_is_validation_error(params):
+    doc = json.loads(_case_text())
+    doc["params"].update(params)
+    with pytest.raises(ValidationError, match="base_mva and base_kv"):
+        mg.parse_case(json.dumps(doc))
 
 
 def test_bfs_tree_visits_sorted_neighbours_first_in_first_out():

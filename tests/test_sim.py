@@ -343,12 +343,14 @@ def test_failed_equilibrium_start_is_recorded(monkeypatch, case14, Y14, gains14)
 def test_equilibrium_line_search_exhaustion_raises(monkeypatch, mixed_case):
     Y = mg.build_admittance(mixed_case)
     calls = {"n": 0}
+    evaluate = powerflow.LoadBusKCL.residual
 
-    def growing(Y, theta, E):
+    def growing(kcl, theta, E):
+        evaluate(kcl, theta, E)  # keeps the powers the Newton matrix is taken at
         calls["n"] += 1
-        return np.full(len(E), float(calls["n"])), np.zeros(len(E))
+        return np.full(2 * kcl.m, float(calls["n"]))
 
-    monkeypatch.setattr(sim, "injections_raw", growing)
+    monkeypatch.setattr(powerflow.LoadBusKCL, "residual", growing)
     with pytest.raises(NewtonError, match="equilibrium solve line search"):
         solve_equilibrium(mixed_case, Y, pin_E=1.0)
     assert calls["n"] == 31  # the start plus 30 halvings
