@@ -20,18 +20,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .netmodel import (
     AdmittanceMatrix,
+    CaseError,
+    LoadArrays,
     NetworkCase,
     ValidationError,
     bfs_tree,
     build_admittance,
     case_to_json,
+    decode,
+    json_floats,
+    json_matrix,
+    known_keys,
     laplacian,
 )
 from .controller import (
@@ -41,7 +48,7 @@ from .controller import (
     consensus_patterns,
     gains_to_json,
 )
-from .powerflow import VoltageProfile, full_jacobian, interleave, jacobians, kappa_bound
+from .powerflow import LoadBusKCL, VoltageProfile, full_jacobian, interleave, kappa_bound
 
 EIG_TOL = 1e-9  # absolute tolerance on extreme eigenvalues in all checks
 
@@ -56,6 +63,7 @@ ABSCISSA_TOL = 1e-6  # relative slack on the vertex spectral abscissa (certifica
 ZETA_SAMPLES, ZETA_SEED = 64, 2024  # interior profiles (plus flat) behind stage 2's zeta estimate
 STAGE1_MIN_MARGIN = 1e-8  # block margin stage 1 must reach
 RATE_SWEEPS = 8  # subgradient projections per gain row onto its rate slab
+GOLDEN_ITERS = 40  # golden-section steps of the Schur-surrogate eps
 CAPACITY_MARGIN = 2.0  # capacity box of the rate constraints: [0, 2 P*] x [0, 2 Q*] per inverter
 
 
@@ -486,48 +494,30 @@ def compute_digest(case: NetworkCase, gains: GainSet) -> str:
 
 
 def certificate_to_json(cert: StabilityCertificate) -> str:
-    doc = {
-        "U": np.asarray(cert.U).tolist(),
-        "eps": cert.eps,
-        "xi": cert.xi,
-        "zeta": cert.zeta,
-        "d": cert.d,
-        "hull_kind": cert.hull_kind,
-        "zeta_mode": cert.zeta_mode,
-        "digest": cert.digest,
-        "meta": cert.meta,
-    }
+    doc = {f.name: getattr(cert, f.name) for f in fields(cert)} | {"U": cert.U.tolist()}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def parse_certificate(text: str) -> StabilityCertificate:
+    """A certificate from its JSON text, its digest unchecked; every problem
+    with the text, an unknown top-level key included, is a CertificateError."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CertificateError(f"invalid JSON in certificate: {exc}") from None
-    try:
-        return StabilityCertificate(
-            U=np.array(raw["U"], dtype=float),
-            eps=float(raw["eps"]),
-            xi=float(raw["xi"]),
-            zeta=float(raw["zeta"]),
-            d=float(raw["d"]),
-            hull_kind=raw.get("hull_kind", HULL_JBAR),
-            zeta_mode=raw.get("zeta_mode", ZETA_SQUARED),
-            digest=raw.get("digest", ""),
-            meta=raw.get("meta", {}),
-        )
-    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise CertificateError(f"bad certificate ({type(exc).__name__}: {exc})") from None
+        return decode(text, "certificate", _certificate_from_json)
+    except CaseError as exc:
+        raise CertificateError(str(exc)) from None
 
 
-def load_certificate(path, case: NetworkCase | None = None,
-                     gains: GainSet | None = None) -> StabilityCertificate:
-    """Load a certificate; with case and gains given, refuse it unless its
-    digest is present and matches them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cert = parse_certificate(fh.read())
-    if case is not None and gains is not None and cert.digest != compute_digest(case, gains):
+def _certificate_from_json(raw) -> StabilityCertificate:
+    known_keys(raw, [f.name for f in fields(StabilityCertificate)], "certificate")
+    numbers = json_floats(raw, ("eps", "xi", "zeta", "d"), "certificate")
+    return StabilityCertificate(**raw | numbers | {"U": json_matrix(raw["U"], "certificate U")})
+
+
+def load_certificate(path, case: NetworkCase, gains: GainSet) -> StabilityCertificate:
+    """Load a certificate and refuse it unless its digest is present and
+    matches case and gains."""
+    cert = parse_certificate(Path(path).read_text(encoding="utf-8"))
+    if cert.digest != compute_digest(case, gains):
         raise CertificateError("certificate digest does not match case + gains"
                                if cert.digest else "certificate has no digest to check")
     return cert
@@ -686,9 +676,13 @@ def zeta_estimate(
     samples = list(sample_set)
     kappa = kappa_bound(case, Y, samples).kappa
     max_jl = 0.0
-    if case.load_ids:
+    if case.load_ids:  # J_L of powerflow.jacobians, from one zero-demand system over the inverters
+        kcl = LoadBusKCL(Y, case.inverter_ids, LoadArrays(*np.zeros((4, case.n_inverters))))
+        scale = np.stack((case.p_star(), case.q_star()), axis=1).reshape(-1, 1)
         for x in samples:
-            max_jl = max(max_jl, float(np.linalg.norm(jacobians(case, Y, x).J_L, 2)))
+            kcl.residual(x.theta, x.E)
+            kcl.derivative()
+            max_jl = max(max_jl, float(np.linalg.norm(kcl.J_LS / scale, 2)))
     K = gains.stacked(case.inverter_ids)
     k_norm = float(np.linalg.norm(K, 2))
     lap = laplacian(case.comm_edges, case.inverter_ids)
@@ -855,14 +849,14 @@ def stage1_gains(case: NetworkCase, hull: IntervalHull, iters: int) -> GainSet:
     return gains
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 40):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+def _golden_min(f, lo: float, hi: float):
+    """Golden-section minimum of a unimodal scalar function on [lo, hi], in GOLDEN_ITERS steps."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -11,10 +11,11 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .netmodel import CaseError, ParseError, ValidationError, build_admittance, load_case
+from .netmodel import CaseError, build_admittance, decode, json_float, known_keys, load_case
 from .powerflow import NewtonError, check_existence
 from .controller import gains_to_json, load_gains
 from .certify import (
@@ -44,24 +45,20 @@ EXIT_NUMERICAL = 2
 EXIT_CERTIFICATE = 3
 
 
-def _read_ranges(path) -> dict:
-    """``{"P": {bus: (lo, hi)}, "Q": {...}}`` from a JSON file; ParseError if malformed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-        ranges = {kind: {int(k): (float(lo), float(hi)) for k, (lo, hi) in raw.get(kind, {}).items()}
-                  for kind in ("P", "Q")}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed ranges file ({type(exc).__name__}: {exc})") from None
-    if not np.isfinite([v for r in ranges.values() for pair in r.values() for v in pair]).all():
-        raise ValidationError("injection ranges must be finite")
-    return ranges
+def _ranges_from_json(raw) -> dict:
+    """``{"P": {bus: (lo, hi)}, "Q": {...}}`` from a ranges file's JSON document."""
+    known_keys(raw, ("P", "Q"), "ranges file")
+    return {kind: {int(k): tuple(json_float(v, f"{kind} range of bus {k}") for v in (lo, hi))
+                   for k, (lo, hi) in raw.get(kind, {}).items()}
+            for kind in ("P", "Q")}
 
 
 def _cmd_check_case(args) -> int:
     case = load_case(args.case)
-    ranges = _read_ranges(args.ranges) if args.ranges else None
+    ranges = None
+    if args.ranges:
+        text = Path(args.ranges).read_text(encoding="utf-8")
+        ranges = decode(text, "ranges file", _ranges_from_json)
     report = check_existence(case, user_ranges=ranges)
     print(f"case: {args.case}  (n={case.n}, inverters={list(case.inverter_ids)})")
     print(report.format())

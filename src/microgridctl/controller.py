@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .netmodel import CaseError, CommLaplacian, NetworkCase, ParseError, ValidationError
+from .netmodel import (CommLaplacian, NetworkCase, ValidationError, decode, json_float, json_matrix,
+                       known_keys)
 
 # Default rate limits: +-0.3 Hz of frequency headroom and 0.05 p.u./s of
 # voltage slew, expressed on the internal rad/s and p.u./s scales.
@@ -26,6 +28,7 @@ DEFAULT_E_DOT_MAX = 0.05
 # Gain files carry mrad/s and mV/s entries; internal units are rad/s and
 # p.u./s on a 1 V voltage base, so both rows convert by 1e-3.
 MILLI = 1e-3
+RATE_LIMIT_KEYS = ("freq_dev_max_hz", "E_dot_max_pu_per_s")  # of a gains file's rate_limits
 
 
 def consensus_patterns(n_inverters: int):
@@ -185,26 +188,25 @@ def parse_gains(text: str) -> GainSet:
     """Parse a JSON gains file.
 
     Schema: ``{"rate_limits": {"freq_dev_max_hz": .., "E_dot_max_pu_per_s": ..},
-    "gains_mrad_mV": {"<bus>": [[k11, k12], [k21, k22]], ...}}``.
-    Row 1 entries are mrad/s, row 2 mV/s on a 1 V voltage base (so both
-    convert to internal units by 1e-3).
+    "gains_mrad_mV": {"<bus>": [[k11, k12], [k21, k22]], ...}}``, plus a free
+    ``_units`` note.  Row 1 entries are mrad/s, row 2 mV/s on a 1 V voltage
+    base (so both convert to internal units by 1e-3).  A missing
+    ``rate_limits`` entry takes its default; a key the format does not know
+    is a ParseError.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in gains file: {exc}") from None
-    try:
-        if "gains_mrad_mV" not in raw:
-            raise ParseError("gains file missing 'gains_mrad_mV'")
-        blocks = {int(k): np.array(m, dtype=float) * MILLI for k, m in raw["gains_mrad_mV"].items()}
-        limits = raw.get("rate_limits", {})
-        theta_dot_max = 2.0 * math.pi * float(limits.get("freq_dev_max_hz", 0.3))
-        e_dot_max = float(limits.get("E_dot_max_pu_per_s", 0.05))
-    except CaseError:
-        raise
-    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed gains file ({type(exc).__name__}: {exc})") from None
-    return GainSet(blocks=blocks, theta_dot_max=theta_dot_max, E_dot_max=e_dot_max)
+    return decode(text, "gains file", _gains_from_json)
+
+
+def _gains_from_json(raw) -> GainSet:
+    known_keys(raw, ("_units", "rate_limits", "gains_mrad_mV"), "gains file")
+    limits = known_keys(raw.get("rate_limits", {}), RATE_LIMIT_KEYS, "rate_limits")
+    limits = {k: json_float(v, k) for k, v in limits.items()}
+    return GainSet(
+        blocks={int(k): json_matrix(m, f"gain block {k}") * MILLI
+                for k, m in raw["gains_mrad_mV"].items()},
+        theta_dot_max=2.0 * math.pi * limits.get("freq_dev_max_hz", 0.3),
+        E_dot_max=limits.get("E_dot_max_pu_per_s", DEFAULT_E_DOT_MAX),
+    )
 
 
 def gains_to_json(gains: GainSet) -> str:
@@ -222,5 +224,4 @@ def gains_to_json(gains: GainSet) -> str:
 
 
 def load_gains(path) -> GainSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gains(fh.read())
+    return parse_gains(Path(path).read_text(encoding="utf-8"))

@@ -21,6 +21,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -164,9 +165,9 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ValidationError(f"line {self.from_bus}-{self.to_bus}: from == to")
-        if not all(math.isfinite(v) for v in (self.R, self.X, self.B_sh)) or math.isnan(self.I_max):
+        if not all(math.isfinite(v) for v in (self.R, self.X, self.B_sh)) or not self.I_max > 0.0:
             raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: R, X and B_sh must be finite, I_max a number"
+                f"line {self.from_bus}-{self.to_bus}: R, X and B_sh must be finite, I_max positive"
             )
         # a subnormal R + jX overflows 1/(R + jX) as surely as a zero one divides by zero
         if (self.R == 0.0 and self.X == 0.0) or not cmath.isfinite(self.series_admittance()):
@@ -425,6 +426,27 @@ def laplacian(comm_edges, active_inverters) -> CommLaplacian:
 # ---------------------------------------------------------------------------
 
 
+def decode(text: str, what: str, build):
+    """``build`` of the JSON document ``text``.  Invalid JSON, or any error a malformed
+    document raises in ``build``, is a ParseError naming ``what``; a CaseError passes."""
+    try:
+        return build(json.loads(text))
+    except CaseError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed {what} ({type(exc).__name__}: {exc})") from None
+
+
+def known_keys(doc, keys, where: str) -> dict:
+    """``doc``, once it is a JSON object with no key outside ``keys``; else a ParseError."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ParseError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    return doc
+
+
 def json_int(value, what: str) -> int:
     """``value`` as an int: a JSON integer, or a number with no fractional
     part; a fraction, a boolean or anything else is a ParseError naming ``what``."""
@@ -434,24 +456,50 @@ def json_int(value, what: str) -> int:
     return int(value)
 
 
-def _load_from_json(obj) -> Load:
-    if obj["kind"] == CONSTANT_POWER:
-        return Load.constant_power(float(obj["P"]), float(obj["Q"]))
-    if obj["kind"] == CONSTANT_IMPEDANCE:
-        return Load.constant_impedance(float(obj["G"]), float(obj["B"]))
-    raise ParseError(f"unknown load kind {obj['kind']!r}")
+def json_float(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (NaN and infinities left to the validators)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_floats(rec, keys, what: str) -> dict:
+    """``{k: json_float(rec[k])}`` over ``keys``; a missing key is a KeyError."""
+    return {k: json_float(rec[k], f"{what} {k}") for k in keys}
+
+
+def json_matrix(rows, what: str) -> np.ndarray:
+    """A list of rows of JSON numbers as a float array."""
+    return np.array([[json_float(v, what) for v in row] for row in rows])
+
+
+def known_kind(rec, kinds, what: str) -> str:
+    """``rec["kind"]``, once it is a key of ``kinds`` and ``rec`` has only the keys listed there."""
+    kind = rec["kind"]
+    if kind not in kinds:
+        raise ParseError(f"{what}: unknown kind {kind!r}")
+    known_keys(rec, kinds[kind], f"{kind} {what}")
+    return kind
+
+
+CASE_KEYS = ("buses", "lines", "comm_edges", "params")  # a case file's keys, per object and kind
+PARAM_KEYS = ("gamma_deg", "f0_hz", "base_mva", "base_kv")
+BUS_KEYS = {INVERTER: ("id", "kind", "E_min", "E_max", "P_star", "Q_star"),
+            LOAD: ("id", "kind", "E_min", "E_max", "load")}
+LOAD_KEYS = {CONSTANT_POWER: ("kind", "P", "Q"), CONSTANT_IMPEDANCE: ("kind", "G", "B")}
+LINE_KEYS = ("from", "to", "R", "X", "B_sh", "I_max")
 
 
 def _bus_from_json(rec) -> Bus:
-    bus_id, kind = json_int(rec["id"], "bus id"), rec["kind"]
-    limits = {"id": bus_id, "kind": kind, "E_min": float(rec["E_min"]), "E_max": float(rec["E_max"])}
+    bus_id = json_int(rec["id"], "bus id")
+    what = f"bus {bus_id}"
+    kind = known_kind(rec, BUS_KEYS, what)
     if kind == INVERTER:
-        return Bus(**limits, P_star=float(rec["P_star"]), Q_star=float(rec["Q_star"]))
-    if kind == LOAD:
-        if "load" not in rec:
-            raise ParseError(f"bus {bus_id}: load bus missing 'load' record")
-        return Bus(**limits, load=_load_from_json(rec["load"]))
-    raise ParseError(f"bus {bus_id}: unknown kind {kind!r}")
+        return Bus(bus_id, kind, **json_floats(rec, BUS_KEYS[kind][2:], what))
+    load = rec["load"]
+    load_kind = known_kind(load, LOAD_KEYS, f"{what} load")
+    return Bus(bus_id, kind, **json_floats(rec, ("E_min", "E_max"), what),
+               load=Load(load_kind, **json_floats(load, LOAD_KEYS[load_kind][1:], f"{what} load")))
 
 
 def parse_case(text: str) -> NetworkCase:
@@ -459,61 +507,52 @@ def parse_case(text: str) -> NetworkCase:
 
     Top-level keys: ``buses``, ``lines``, ``comm_edges``, ``params``
     (gamma_deg, f0_hz, base_mva, base_kv).  Angles in the file are degrees
-    and frequencies Hz; everything electrical is per-unit.  Malformed input
-    raises ParseError, out-of-range or non-finite values ValidationError.
+    and frequencies Hz; everything electrical is per-unit.  Malformed input,
+    an unknown key included, raises ParseError, out-of-range or non-finite
+    values ValidationError.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    try:
-        return _case_from_json(raw)
-    except CaseError:
-        raise
-    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed case ({type(exc).__name__}: {exc})") from None
+    return decode(text, "case", _case_from_json)
 
 
 def _case_from_json(raw) -> NetworkCase:
-    for key in ("buses", "lines", "comm_edges", "params"):
-        if key not in raw:
-            raise ParseError(f"missing top-level key {key!r}")
-    lines = [
-        Line(
-            from_bus=json_int(rec["from"], "line 'from'"),
-            to_bus=json_int(rec["to"], "line 'to'"),
-            R=float(rec["R"]),
-            X=float(rec["X"]),
-            B_sh=float(rec.get("B_sh", 0.0)),
-            I_max=float(rec.get("I_max", math.inf)),
-        )
-        for rec in raw["lines"]
-    ]
-    params = raw["params"]
+    missing = [key for key in CASE_KEYS if key not in known_keys(raw, CASE_KEYS, "case")]
+    if missing:
+        raise ParseError(f"missing top-level key {missing[0]!r}")
+    lines = []
+    for rec in raw["lines"]:
+        known_keys(rec, LINE_KEYS, "line")
+        a, b = json_int(rec["from"], "line 'from'"), json_int(rec["to"], "line 'to'")
+        lines.append(Line(a, b, **{k: json_float(v, f"line {a}-{b} {k}")
+                                   for k, v in rec.items() if k not in ("from", "to")}))
+    params = known_keys(raw["params"], PARAM_KEYS, "params")
+    params = {k: json_float(v, k) for k, v in params.items()}
     return NetworkCase(
         buses=tuple(_bus_from_json(rec) for rec in raw["buses"]),
         lines=tuple(lines),
         comm_edges=tuple(_as_edge([json_int(end, "comm edge end") for end in e])
                          for e in raw["comm_edges"]),
-        gamma=math.radians(float(params["gamma_deg"])),
-        omega0=2.0 * math.pi * float(params["f0_hz"]),
-        base_mva=float(params.get("base_mva", 100.0)),
-        base_kv=float(params.get("base_kv", 13.8)),
+        gamma=math.radians(params["gamma_deg"]),
+        omega0=2.0 * math.pi * params["f0_hz"],
+        base_mva=params.get("base_mva", 100.0),
+        base_kv=params.get("base_kv", 13.8),
     )
 
 
-def _exact_preimage(value: float, forward, guess: float, max_ulps: int = 8) -> float:
+PREIMAGE_ULPS = 8  # ulps _exact_preimage steps each way
+
+
+def _exact_preimage(value: float, forward, guess: float) -> float:
     """Nudge ``guess`` so that forward(guess) == value exactly, when possible.
 
     Unit conversions like degrees -> radians are off by an ulp often enough
     to break the parse/serialize round trip; the preimage of a double under
-    a monotone conversion is found by stepping a few ulps.
+    a monotone conversion is found by stepping up to PREIMAGE_ULPS ulps.
     """
     if forward(guess) == value:
         return guess
     for direction in (math.inf, -math.inf):
         y = guess
-        for _ in range(max_ulps):
+        for _ in range(PREIMAGE_ULPS):
             y = math.nextafter(y, direction)
             got = forward(y)
             if got == value:
@@ -525,18 +564,10 @@ def _exact_preimage(value: float, forward, guess: float, max_ulps: int = 8) -> f
 
 def case_to_json(case: NetworkCase) -> str:
     """Serialize a NetworkCase back to canonical case-file JSON."""
-    buses = []
-    for b in case.buses:
-        rec = {"id": b.id, "kind": b.kind, "E_min": b.E_min, "E_max": b.E_max}
-        if b.kind == INVERTER:
-            rec["P_star"] = b.P_star
-            rec["Q_star"] = b.Q_star
-        else:
-            if b.load.kind == CONSTANT_POWER:
-                rec["load"] = {"kind": CONSTANT_POWER, "P": b.load.P, "Q": b.load.Q}
-            else:
-                rec["load"] = {"kind": CONSTANT_IMPEDANCE, "G": b.load.G, "B": b.load.B}
-        buses.append(rec)
+    buses = [{k: getattr(b, k) for k in BUS_KEYS[b.kind] if k != "load"} for b in case.buses]
+    for rec, b in zip(buses, case.buses):
+        if b.load is not None:
+            rec["load"] = {k: getattr(b.load, k) for k in LOAD_KEYS[b.load.kind]}
     lines = []
     for ln in case.lines:
         rec = {"from": ln.from_bus, "to": ln.to_bus, "R": ln.R, "X": ln.X, "B_sh": ln.B_sh}
@@ -560,5 +591,4 @@ def case_to_json(case: NetworkCase) -> str:
 
 
 def load_case(path) -> NetworkCase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_case(fh.read())
+    return parse_case(Path(path).read_text(encoding="utf-8"))

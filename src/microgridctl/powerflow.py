@@ -465,7 +465,10 @@ def check_existence(
 
     Conditions (a)-(e) come from the network data; (f) is checked only
     against user-supplied ranges ``{"P": {bus: (lo, hi)}, "Q": {...}}``
-    and reported as unchecked otherwise.  This is a report, not a gate.
+    and reported as unchecked otherwise; a non-finite range, or one at a bus
+    that (f) does not check (P at every bus, Q at load buses only), is a
+    ValidationError.
+    This is a report, not a gate.
     """
     Y = build_admittance(case)
     B = Y.Y.imag
@@ -530,6 +533,12 @@ def check_existence(
         bad = []
         for kind, nominal, ids in (("P", p_nom, range(case.n)), ("Q", q_nom, load)):
             ranges = user_ranges.get(kind, {})
+            unchecked = sorted(set(ranges) - set(ids))
+            if unchecked:
+                raise ValidationError(f"{kind} ranges at buses {unchecked}: condition (f) "
+                                      f"checks {kind} only at buses {list(ids)}")
+            if not np.isfinite(list(ranges.values())).all():
+                raise ValidationError("injection ranges must be finite")
             bad += [(kind, i) for i in ids
                     if i in ranges and not ranges[i][0] <= nominal[i] <= ranges[i][1]]
         conds.append(

@@ -20,21 +20,26 @@ Their columns, in memory and in the CSV, follow one table, ``TRACE_COLUMNS``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .netmodel import (
-    CaseError,
+    CONSTANT_POWER,
     Load,
     LoadArrays,
     NetworkCase,
     ParseError,
     ValidationError,
     build_admittance,
+    decode,
+    json_float,
+    json_floats,
     json_int,
+    known_keys,
+    known_kind,
 )
 from .powerflow import (
     LoadBusKCL,
@@ -63,6 +68,7 @@ SHARING_TOL = 1e-3  # sharing error (P) below which ``metrics`` counts the share
 # whole before the first step, so a larger t_end / dt is refused up front rather
 # than running for days or failing on an allocation of petabytes.
 MAX_STEPS = 10**7
+VELOCITY_MARGIN, VELOCITY_GATE = 0.01, 1e-9  # velocity_ratio_violations' slack on kappa, speed gate
 
 
 class SimulationError(RuntimeError):
@@ -88,8 +94,7 @@ class SimConfig:
 
 
 # A scenario's "sim" keys: the SimConfig fields, each with its JSON conversion.
-SIM_KEYS = {"dt": float, "t_end": float,
-            "record_stride": lambda value: json_int(value, "record_stride")}
+SIM_KEYS = {"dt": json_float, "t_end": json_float, "record_stride": json_int}
 EVENT_KEYS = {  # the keys each event kind may carry
     LOAD_STEP: ("t", "kind", "bus", "dP", "dQ"),
     DER_LOSS: ("t", "kind", "bus", "residual"),
@@ -111,43 +116,23 @@ def parse_scenario(text: str, case: NetworkCase | None = None) -> Scenario:
     the format does not know included, raises ParseError; out-of-range or
     non-finite values raise ValidationError.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in scenario: {exc}") from None
-    try:
-        return _scenario_from_json(raw, case)
-    except CaseError:
-        raise
-    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed scenario ({type(exc).__name__}: {exc})") from None
-
-
-def _known_keys(doc: dict, keys, where: str) -> dict:
-    """``doc`` itself; a key outside ``keys`` is a ParseError naming it."""
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ParseError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
-    return doc
+    return decode(text, "scenario", lambda raw: _scenario_from_json(raw, case))
 
 
 def _scenario_from_json(raw, case: NetworkCase | None) -> Scenario:
-    _known_keys(raw, ("events", "sim"), "scenario")
+    known_keys(raw, ("events", "sim"), "scenario")
     events = []
     for rec in raw.get("events", []):
-        kind = rec["kind"]
-        if kind not in EVENT_KEYS:
-            raise ParseError(f"unknown event kind {kind!r}")
-        _known_keys(rec, EVENT_KEYS[kind], f"{kind} event")
-        t = float(rec["t"])
+        kind = known_kind(rec, EVENT_KEYS, "event")
+        t = json_float(rec["t"], "event t")
         if kind == LOAD_STEP:
             ev = FaultEvent(time=t, kind=kind, bus=json_int(rec["bus"], "event bus"),
-                            dP=float(rec.get("dP", 0.0)), dQ=float(rec.get("dQ", 0.0)))
+                            **json_floats(rec, [k for k in ("dP", "dQ") if k in rec], "event"))
         elif kind == DER_LOSS:
             residual = None
             if "residual" in rec:
-                r = _known_keys(rec["residual"], ("P", "Q"), "der_loss residual")
-                residual = Load.constant_power(float(r.get("P", 0.0)), float(r.get("Q", 0.0)))
+                r = known_keys(rec["residual"], ("P", "Q"), "der_loss residual")
+                residual = Load(CONSTANT_POWER, **json_floats(r, r.keys(), "der_loss residual"))
             ev = FaultEvent(time=t, kind=kind, bus=json_int(rec["bus"], "event bus"),
                             residual=residual)
         else:  # COMM_LOSS
@@ -158,14 +143,13 @@ def _scenario_from_json(raw, case: NetworkCase | None) -> Scenario:
             ev.validate_against(case)
         events.append(ev)
     events.sort(key=lambda e: e.time)
-    sim = _known_keys(raw.get("sim", {}), SIM_KEYS, "sim")
-    config = SimConfig(**{key: SIM_KEYS[key](value) for key, value in sim.items()})
+    sim = known_keys(raw.get("sim", {}), SIM_KEYS, "sim")
+    config = SimConfig(**{key: SIM_KEYS[key](value, key) for key, value in sim.items()})
     return Scenario(events=tuple(events), config=config)
 
 
 def load_scenario(path, case: NetworkCase | None = None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), case)
+    return parse_scenario(Path(path).read_text(encoding="utf-8"), case)
 
 
 # ---------------------------------------------------------------------------
@@ -731,11 +715,11 @@ def metrics(trace: Trace, case: NetworkCase | None = None) -> MetricsSummary:
     )
 
 
-def velocity_ratio_violations(trace: Trace, case: NetworkCase, kappa: float,
-                              margin: float = 0.01, gate: float = 1e-9):
-    """Finite-difference check of ||xdot_L|| <= (kappa+margin) ||xdot_I||.
+def velocity_ratio_violations(trace: Trace, case: NetworkCase, kappa: float):
+    """Finite-difference check of ||xdot_L|| <= (kappa + VELOCITY_MARGIN) ||xdot_I||.
 
-    Runs over consecutive recorded rows, skipping intervals that straddle a
+    Runs over consecutive recorded rows whose inverter speed exceeds
+    VELOCITY_GATE, skipping intervals that straddle a
     scenario event (the algebraic states jump there while the inverter
     states do not).  Valid for traces whose inverter/load partition never
     changed.  Returns (row index, ratio) pairs that violate the bound.
@@ -756,9 +740,9 @@ def velocity_ratio_violations(trace: Trace, case: NetworkCase, kappa: float,
         )
         dt = t1 - t0
         v_inv = np.linalg.norm(d_inv) / dt
-        if v_inv <= gate:
+        if v_inv <= VELOCITY_GATE:
             continue
         v_load = np.linalg.norm(d_load) / dt
-        if v_load > (kappa + margin) * v_inv:
+        if v_load > (kappa + VELOCITY_MARGIN) * v_inv:
             out.append((r, v_load / v_inv))
     return out

@@ -280,7 +280,7 @@ def test_acceptance_09_velocity_coupling_bound(case14, Y14, loadstep_run):
     samples += [VoltageProfile(theta=trace.theta[r], E=trace.E[r])
                 for r in range(0, trace.n_rows, 10)]
     est = mg.kappa_bound(case14, Y14, samples)
-    violations = velocity_ratio_violations(trace, case14, est.kappa, margin=0.01, gate=1e-9)
+    violations = velocity_ratio_violations(trace, case14, est.kappa)
     assert violations == []
     print(f"ACCEPTANCE #9 PASS: kappa {est.kappa:.2f}, no velocity-ratio violations")
 

@@ -250,6 +250,9 @@ BAD_INPUTS = {
     "ranges_bad_json": _ranges("{bad"),
     "ranges_top_level_list": _ranges("[1, 2]"),
     "ranges_non_integer_bus": _ranges('{"P": {"x": [0.0, 1.0]}}'),
+    "ranges_400_digit_integer": _ranges('{"P": {"0": [0, 1%s]}}' % ("0" * 400)),
+    "ranges_bus_outside_the_case": _ranges('{"P": {"99": [0.0, 1.0]}}'),
+    "ranges_q_at_an_inverter_bus": _ranges('{"Q": {"0": [-1.0, 1.0]}}'),
     "check_case_on_a_directory": lambda tmp_path: ["check-case", str(tmp_path)],
     "simulate_too_many_steps": _scenario('{"sim": {"t_end": 1e12, "dt": 0.005}}'),
     "simulate_subnormal_line_R": _subnormal_line("simulate", {"R": 1e-320, "X": 0.0}),

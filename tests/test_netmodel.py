@@ -260,6 +260,13 @@ def test_admittance_matrix_rejects_non_finite_entries():
             mg.AdmittanceMatrix(Y=np.array([[bad, -1.0], [-1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("I_max", [0.0, -1.0, -math.inf])
+def test_non_positive_current_limit_is_validation_error(I_max):
+    """Condition (d) would hold vacuously on a line whose limit no current can meet."""
+    with pytest.raises(ValidationError, match="I_max positive"):
+        mg.parse_case(_case_text(line_patch={"I_max": I_max}))
+
+
 def test_infinite_bus_voltage_limit_is_validation_error():
     with pytest.raises(ValidationError, match="finite"):
         mg.parse_case(_case_text(bus_patch={"E_max": math.inf}))

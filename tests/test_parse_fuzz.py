@@ -204,3 +204,88 @@ def test_cli_on_fuzzed_scenario_exits_with_a_documented_code(mutant_path, text):
 @given(st.deferred(lambda: mutated_csv(_short_trace_csv())))
 def test_cli_on_fuzzed_trace_exits_with_a_documented_code(mutant_path, text):
     _runs_cleanly(mutant_path, text, ["metrics", None], ["metrics", None, "--case", CASE])
+
+
+# -- one key policy and one number policy for every format ---------------------------
+#
+# Each edit turns a valid document into one every reader must refuse with its
+# documented error: a key the format does not know, at each object level that has
+# a fixed key set, or a number written as a string or a boolean.  The ranges file is
+# read only by ``check-case``, which must exit 1 with an ``error:`` line.
+
+RANGES = {"P": {"0": [0.0, 5.0]}, "Q": {"3": [-1.0, 1.0]}}
+READERS = {  # format: (valid document, reader, documented error)
+    "case": (_doc(bundled.CASE14), parse_case, ParseError),
+    "gains": (_doc(bundled.GAINS14), parse_gains, ParseError),
+    "scenario": (SHORT_SCENARIO, parse_scenario, ParseError),
+    "certificate": (_doc(bundled.CERT14), parse_certificate, CertificateError),
+    "ranges": (RANGES, None, ParseError),
+}
+
+
+def _set(path, value):
+    """An edit that stores ``value`` at ``path`` (keys and list indices) of a document."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+NUMBER = "must be a number"
+EDITS = {
+    "case-top-level": ("case", _set(["comm_edge"], []), "'comm_edge'"),
+    "case-params": ("case", _set(["params", "f0_Hz"], 50.0), "'f0_Hz'"),
+    "case-inverter-bus": ("case", _set(["buses", 0, "P_str"], 0.3), "'P_str'"),
+    "case-load-bus": ("case", _set(["buses", 3, "E_mn"], 0.9), "'E_mn'"),
+    "case-impedance-load": ("case", _set(["buses", 3, "load", "P"], 0.1), "'P'"),
+    "case-power-load": ("case", _set(["buses", 3, "load"], {
+        "kind": "constant_power", "P": 0.1, "Q": 0.05, "G": 0.0}), "'G'"),
+    "case-line": ("case", _set(["lines", 0, "Imax"], 1.0), "'Imax'"),
+    "case-string-number": ("case", _set(["lines", 0, "R"], "0.01"), NUMBER),
+    "case-boolean-number": ("case", _set(["params", "gamma_deg"], True), NUMBER),
+    "gains-top-level": ("gains", _set(["rate_limit"], {}), "'rate_limit'"),
+    "gains-rate-limits": ("gains", _set(["rate_limits", "freq_dev_max"], 0.5), "'freq_dev_max'"),
+    "gains-string-number": ("gains", _set(["rate_limits", "freq_dev_max_hz"], "0.3"), NUMBER),
+    "gains-boolean-number": ("gains", _set(["gains_mrad_mV", "0", 0, 0], True), NUMBER),
+    "scenario-top-level": ("scenario", _set(["event"], []), "'event'"),
+    "scenario-sim": ("scenario", _set(["sim", "dT"], 0.01), "'dT'"),
+    "scenario-load-step": ("scenario", _set(["events", 0, "dp"], 0.1), "'dp'"),
+    "scenario-der-loss": ("scenario", _set(["events", 1, "residul"], {}), "'residul'"),
+    "scenario-residual": ("scenario", _set(["events", 1, "residual", "q"], 0.0), "'q'"),
+    "scenario-comm-loss": ("scenario", _set(["events", 2, "edges"], [1, 2]), "'edges'"),
+    "scenario-string-number": ("scenario", _set(["events", 0, "t"], "1"), NUMBER),
+    "scenario-boolean-number": ("scenario", _set(["sim", "dt"], True), NUMBER),
+    "certificate-top-level": ("certificate", _set(["Zeta"], 0.1), "'Zeta'"),
+    "certificate-string-number": ("certificate", _set(["xi"], "0.1"), NUMBER),
+    "certificate-boolean-number": ("certificate", _set(["eps"], True), NUMBER),
+    "certificate-string-in-U": ("certificate", _set(["U", 0, 0], "1.0"), NUMBER),
+    "ranges-top-level": ("ranges", _set(["Qq"], {}), "'Qq'"),
+    "ranges-string-number": ("ranges", _set(["P", "0", 0], "0"), NUMBER),
+    "ranges-boolean-number": ("ranges", _set(["P", "0", 0], False), NUMBER),
+}
+
+
+def _read(fmt, text, tmp_path, capsys):
+    """``text`` read as ``fmt``: the parsed object, or for ranges the check-case exit code."""
+    if fmt != "ranges":
+        return READERS[fmt][1](text)
+    path = tmp_path / "ranges.json"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["check-case", CASE, "--ranges", str(path)])
+    if code:
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: "), err
+        raise ParseError(err)
+    return code
+
+
+@pytest.mark.parametrize("name", sorted(EDITS))
+def test_unknown_keys_and_non_numbers_are_refused(name, tmp_path, capsys):
+    fmt, edit, match = EDITS[name]
+    doc = copy.deepcopy(READERS[fmt][0])
+    _read(fmt, json.dumps(doc), tmp_path, capsys)  # the edit is the document's only fault
+    edit(doc)
+    with pytest.raises(READERS[fmt][2], match=match):
+        _read(fmt, json.dumps(doc), tmp_path, capsys)

@@ -461,6 +461,16 @@ def test_condition_f_with_ranges(case14):
     assert by["f"].passed is False
 
 
+@pytest.mark.parametrize("ranges, entry", [
+    ({"P": {99: (0.0, 1.0)}}, r"P ranges at buses \[99\]"),
+    ({"Q": {0: (-1.0, 1.0)}}, r"Q ranges at buses \[0\]"),  # bus 0 is an inverter
+    ({"P": {0: (0.0, math.nan)}}, "finite"),
+])
+def test_condition_f_refuses_ranges_it_does_not_check(case14, ranges, entry):
+    with pytest.raises(mg.ValidationError, match=entry):
+        mg.check_existence(case14, user_ranges=ranges)
+
+
 # -- conservation property ---------------------------------------------------------
 
 
