@@ -129,8 +129,7 @@ def main():
     print("case + gains + scenarios written")
 
     case = mg.load_case(DATA / "case14.json")
-    Y = mg.build_admittance(case)
-    hull = certify.build_hull(case, Y)
+    hull = certify.build_hull(case)
     t0 = time.time()
     gains_s, cert = certify.synthesize_gains(case, hull)
     print(f"synthesis done in {time.time() - t0:.1f} s; "

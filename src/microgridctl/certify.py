@@ -62,8 +62,7 @@ ZETA_HALVINGS = 48  # stage 2 halves the disturbance degree at most this often
 ABSCISSA_TOL = 1e-6  # relative slack on the vertex spectral abscissa (certificate_for_gains)
 ZETA_SAMPLES, ZETA_SEED = 64, 2024  # interior profiles (plus flat) behind stage 2's zeta estimate
 STAGE1_MIN_MARGIN = 1e-8  # block margin stage 1 must reach
-RATE_SWEEPS = 8  # subgradient projections per gain row onto its rate slab
-GOLDEN_ITERS = 40  # golden-section steps of the Schur-surrogate eps
+RATE_SWEEPS = 8  # subgradient projections per gain row onto its rate constraint
 CAPACITY_MARGIN = 2.0  # capacity box of the rate constraints: [0, 2 P*] x [0, 2 Q*] per inverter
 
 
@@ -210,7 +209,7 @@ def _stationary_candidates(phi: float, gamma: float):
 # ---------------------------------------------------------------------------
 
 
-def sample_interior_profiles(case: NetworkCase, count: int, seed: int = 0) -> list[VoltageProfile]:
+def sample_interior_profiles(case: NetworkCase, count: int, seed: int) -> list[VoltageProfile]:
     """Deterministic random profiles inside the security box.
 
     Magnitudes are uniform in the voltage box, tree-edge angle gaps
@@ -362,10 +361,9 @@ class IntervalHull:
         return tuple(per_block), n_product
 
 
-def build_hull(case: NetworkCase, Y: AdmittanceMatrix | None = None) -> IntervalHull:
+def build_hull(case: NetworkCase) -> IntervalHull:
     """Compute per-block entry bounds and stack them into the full hull."""
-    if Y is None:
-        Y = build_admittance(case)
+    Y = build_admittance(case)
     blocks = blocks_of(case)
     per_block = tuple(entry_bounds(case, Y, blk) for blk in blocks)
     n_i = case.n_inverters
@@ -701,39 +699,25 @@ def zeta_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _rate_rows(lap, k: int) -> np.ndarray:
-    """(2, 2m) map of the stacked normalized injections s onto the mixed pair
-    (Lbar s) of the inverter at position k: a gain row K_r gives the rate
-    functional c = K_r[0] * base[0] + K_r[1] * base[1]."""
-    base = np.zeros((2, 2 * len(lap.order)))
-    base[0, 0::2] = lap.L[k]
-    base[1, 1::2] = lap.L[k]
-    return base
-
-
-def _slab_reach(c: np.ndarray):
-    """(c . mid, max |c . s|) of a rate functional c over the capacity box.
+def _reach(row: np.ndarray, degree: float) -> float:
+    """max |a (L s_P)_k + b (L s_Q)_k| over the capacity box, for the gain row
+    (a, b) of the inverter at Laplacian position k, whose degree is L[k, k].
 
     Each normalized injection P / P* or Q / Q* spans [0, CAPACITY_MARGIN]
-    (P* and Q* are nonzero), so the box's centre and half-width are both
-    ``mid`` = CAPACITY_MARGIN / 2 on every entry and the reach is
-    |c . mid| + |c| . mid.
+    (P* and Q* are nonzero): centre and half-width CAPACITY_MARGIN / 2 on
+    every entry.  A Laplacian row sums to zero, so the centre term vanishes,
+    and its off-diagonal entries are nonpositive, so sum_j |L[k, j]| =
+    2 L[k, k]: the reach is CAPACITY_MARGIN * degree * (|a| + |b|).
     """
-    mid = np.full(len(c), 0.5 * CAPACITY_MARGIN)
-    center = c @ mid
-    return center, abs(center) + np.abs(c) @ mid
+    return CAPACITY_MARGIN * degree * float(np.abs(row).sum())
 
 
 def rate_constraint_excess(gains: GainSet, case: NetworkCase) -> float:
     """Worst ratio of |K Lbar s| to its rate bound over the capacity box (<=1 ok)."""
     lap = laplacian(case.comm_edges, case.inverter_ids)
-    worst = 0.0
-    for k, i in enumerate(lap.order):
-        base = _rate_rows(lap, k)
-        for r, bound in ((0, gains.theta_dot_max), (1, gains.E_dot_max)):
-            K_row = gains.blocks[i][r]
-            worst = max(worst, _slab_reach(K_row[0] * base[0] + K_row[1] * base[1])[1] / bound)
-    return worst
+    return max(_reach(gains.blocks[i][r], lap.L[k, k]) / bound
+               for k, i in enumerate(lap.order)
+               for r, bound in ((0, gains.theta_dot_max), (1, gains.E_dot_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -742,33 +726,24 @@ def rate_constraint_excess(gains: GainSet, case: NetworkCase) -> float:
 
 
 def _project_rate_rows(K_blocks: dict[int, np.ndarray], case: NetworkCase, only):
-    """Cyclic projection of the gain rows of the inverters ``only`` onto
-    their rate slab constraints at the controller's default rate limits.
-
-    Each constraint is |<k_row, c(s-functional)>| <= bound over the
-    capacity box; slabs are symmetric so the zero row is always feasible.
-    """
+    """Cyclic projection of the gain rows of the inverters ``only`` onto their rate
+    constraints ``_reach(row) <= bound`` at the controller's default rate limits;
+    the constraints are symmetric, so the zero row is always feasible."""
     lap = laplacian(case.comm_edges, case.inverter_ids)
     for k, i in enumerate(lap.order):
         if i not in only:
             continue
-        base = _rate_rows(lap, k)
+        deg = lap.L[k, k]
         for r, bound in ((0, DEFAULT_THETA_DOT_MAX), (1, DEFAULT_E_DOT_MAX)):
             row = K_blocks[i][r].copy()
             for _ in range(RATE_SWEEPS):
-                c = row[0] * base[0] + row[1] * base[1]
-                center, reach = _slab_reach(c)
+                reach = _reach(row, deg)
                 if reach <= bound:
                     break
-                # the reach's subgradient in row: sign(c . mid) base . mid + (sign(c) base) . mid
-                g = np.array([np.sign(center) * _slab_reach(b)[0] + _slab_reach(np.sign(c) * b)[0]
-                              for b in base])
-                gn2 = g @ g
-                if gn2 < 1e-30:
-                    row *= bound / max(reach, 1e-30)
-                    break
-                row -= (reach - bound) / gn2 * g
-            _, reach = _slab_reach(row[0] * base[0] + row[1] * base[1])
+                # reach > bound > 0 makes row and deg nonzero, so g is too
+                g = CAPACITY_MARGIN * deg * np.sign(row)
+                row -= (reach - bound) / (g @ g) * g
+            reach = _reach(row, deg)
             if reach > bound:
                 row *= bound / reach
             K_blocks[i][r] = row
@@ -825,11 +800,11 @@ def stage1_gains(case: NetworkCase, hull: IntervalHull, iters: int) -> GainSet:
     """Subgradient descent on the per-block spectral abscissa, ``iters`` steps.
 
     Minimizes max_D lambda_max(D K_b + K_b^T D^T) per block, projected
-    onto the slabs of the controller's default rate limits over the
-    capacity box; afterwards the gains are scaled to the constraint
-    boundary (the margin scales with the gains).  The gains carry the
-    default rate limits.  Raises SynthesisError when no negative margin
-    is found.
+    onto the controller's default rate limits over the capacity box (an
+    l1 bound per gain row, ``_reach``); afterwards the gains are scaled to
+    the constraint boundary (the margin scales with the gains).  The gains
+    carry the default rate limits.  Raises SynthesisError when no negative
+    margin is found.
     """
     K_blocks = {}
     for blk, bb in zip(hull.blocks, hull.per_block):
@@ -849,33 +824,11 @@ def stage1_gains(case: NetworkCase, hull: IntervalHull, iters: int) -> GainSet:
     return gains
 
 
-def _golden_min(f, lo: float, hi: float):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi], in GOLDEN_ITERS steps."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(GOLDEN_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
 def _schur_surrogate_eps(U: np.ndarray, zeta: float) -> float:
-    """Golden-section on the scalar Schur trade-off eps*z + lmax(U)^2/eps."""
-    zz = max(zeta ** 2, 1e-16)
+    """lmax(U) / zeta, the minimizer of the scalar Schur trade-off
+    eps * zeta^2 + lmax(U)^2 / eps, clipped to [1e-12, 1e6]."""
     umax = float(np.linalg.eigvalsh(U)[-1])
-    log_eps, _ = _golden_min(
-        lambda le: (10.0 ** le) * zz + umax ** 2 / (10.0 ** le), -12.0, 6.0
-    )
-    return 10.0 ** log_eps
+    return min(max(umax / max(zeta, 1e-8), 1e-12), 1e6)
 
 
 class _VertexScreen:
@@ -1086,9 +1039,9 @@ def certificate_for_gains(
 
     U starts from simple positive-definite guesses (identity and the
     reduced Laplacian) and is polished by eigenvalue-subgradient steps on
-    the worst vertex margin; eps comes from a golden-section on the scalar
-    Schur surrogate, xi from upward bisection while the vertex margins
-    stay nonpositive.  When the estimated disturbance degree is not
+    the worst vertex margin; eps is the scalar Schur surrogate's minimizer
+    in closed form, xi from upward bisection while the vertex margins stay
+    nonpositive.  When the estimated disturbance degree is not
     certifiable the degree is bisected down and the shortfall is recorded
     in the metadata.
 

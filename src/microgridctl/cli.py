@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .netmodel import CaseError, build_admittance, decode, json_float, known_keys, load_case
+from .netmodel import (CaseError, build_admittance, decode, json_float, json_id_key, known_keys,
+                       load_case)
 from .powerflow import NewtonError, check_existence
 from .controller import gains_to_json, load_gains
 from .certify import (
@@ -48,7 +49,8 @@ EXIT_CERTIFICATE = 3
 def _ranges_from_json(raw) -> dict:
     """``{"P": {bus: (lo, hi)}, "Q": {...}}`` from a ranges file's JSON document."""
     known_keys(raw, ("P", "Q"), "ranges file")
-    return {kind: {int(k): tuple(json_float(v, f"{kind} range of bus {k}") for v in (lo, hi))
+    return {kind: {json_id_key(k, f"{kind} range key"):
+                   tuple(json_float(v, f"{kind} range of bus {k}") for v in (lo, hi))
                    for k, (lo, hi) in raw.get(kind, {}).items()}
             for kind in ("P", "Q")}
 
@@ -67,9 +69,8 @@ def _cmd_check_case(args) -> int:
 
 def _cmd_bounds(args) -> int:
     case = load_case(args.case)
-    Y = build_admittance(case)
-    hull = build_hull(case, Y)
-    viol = hypothesis_violations(case, Y)
+    hull = build_hull(case)
+    viol = hypothesis_violations(case, build_admittance(case))
     if args.json:
         doc = {
             "blocks": [list(b) for b in hull.blocks],

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .netmodel import (CommLaplacian, NetworkCase, ValidationError, decode, json_float, json_matrix,
-                       known_keys)
+from .netmodel import (CommLaplacian, NetworkCase, ValidationError, decode, json_float, json_id_key,
+                       json_matrix, known_keys)
 
 # Default rate limits: +-0.3 Hz of frequency headroom and 0.05 p.u./s of
 # voltage slew, expressed on the internal rad/s and p.u./s scales.
@@ -77,21 +77,12 @@ class GainSet:
         self._check_null_space()
 
     def _check_null_space(self):
-        ids = sorted(self.blocks)
-        K = self.stacked(ids)
-        _, sv, vt = np.linalg.svd(K)
-        null = vt[sv < 1e-12 * max(sv[0], 1.0)] if len(sv) else vt[0:0]
-        if null.size == 0:
-            return
-        v_p, v_q = consensus_patterns(len(ids))
-        basis = np.column_stack([v_p / np.linalg.norm(v_p), v_q / np.linalg.norm(v_q)])
-        for v in null:
-            resid = v - basis @ (basis.T @ v)
-            if np.linalg.norm(resid) > 1e-9:
-                raise ValidationError(
-                    "gain null space leaves the sharing space; a singular per-inverter "
-                    "block breaks the equilibrium equivalence"
-                )
+        sv = np.linalg.svd(self.stacked(self.blocks), compute_uv=False)
+        if len(self.blocks) > 1 and sv[-1] < 1e-12 * max(sv[0], 1.0):
+            raise ValidationError(
+                "gain null space leaves the sharing space; a singular per-inverter "
+                "block breaks the equilibrium equivalence"
+            )
 
     def per_inverter(self, ids) -> np.ndarray:
         """(m, 2, 2) stack of the gain blocks of the given inverter ids, in order."""
@@ -202,7 +193,7 @@ def _gains_from_json(raw) -> GainSet:
     limits = known_keys(raw.get("rate_limits", {}), RATE_LIMIT_KEYS, "rate_limits")
     limits = {k: json_float(v, k) for k, v in limits.items()}
     return GainSet(
-        blocks={int(k): json_matrix(m, f"gain block {k}") * MILLI
+        blocks={json_id_key(k, "gain block key"): json_matrix(m, f"gain block {k}") * MILLI
                 for k, m in raw["gains_mrad_mV"].items()},
         theta_dot_max=2.0 * math.pi * limits.get("freq_dev_max_hz", 0.3),
         E_dot_max=limits.get("E_dot_max_pu_per_s", DEFAULT_E_DOT_MAX),

@@ -427,10 +427,19 @@ def laplacian(comm_edges, active_inverters) -> CommLaplacian:
 
 
 def decode(text: str, what: str, build):
-    """``build`` of the JSON document ``text``.  Invalid JSON, or any error a malformed
-    document raises in ``build``, is a ParseError naming ``what``; a CaseError passes."""
+    """``build`` of the JSON document ``text``.  Invalid JSON, a repeated key, or any error a
+    malformed document raises in ``build``, is a ParseError naming ``what``; a CaseError passes."""
+
+    def unique_keys(pairs) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ParseError(f"malformed {what} (repeated key {key!r})")
+            doc[key] = value
+        return doc
+
     try:
-        return build(json.loads(text))
+        return build(json.loads(text, object_pairs_hook=unique_keys))
     except CaseError:
         raise
     except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
@@ -454,6 +463,13 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_id_key(key: str, what: str) -> int:
+    """An id object key as an int, if it is ``str(i)`` of one: not ``"07"``, ``" 7"``, ``"0_7"``."""
+    if str(int(key)) != key:
+        raise ParseError(f"{what} must be written as an integer, got {key!r}")
+    return int(key)
 
 
 def json_float(value, what: str) -> float:

@@ -510,7 +510,6 @@ def run_scenario(
     case: NetworkCase,
     gains: GainSet,
     scenario: Scenario,
-    Y=None,
     initial: VoltageProfile | None = None,
 ) -> Trace:
     """Integrate the closed loop through a scenario and record a trace.
@@ -530,8 +529,7 @@ def run_scenario(
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ValidationError("t_end must be an integer number of steps")
-    if Y is None:
-        Y = build_admittance(case)
+    Y = build_admittance(case)
     cond = OperatingCondition.initial(case)
     start, fallback = "initial", None
     if initial is None:

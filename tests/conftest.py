@@ -122,10 +122,10 @@ def cert14():
 
 
 @pytest.fixture(scope="session")
-def hull14(case14, Y14):
+def hull14(case14):
     from microgridctl import certify
 
-    return certify.build_hull(case14, Y14)
+    return certify.build_hull(case14)
 
 
 @pytest.fixture()

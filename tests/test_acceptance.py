@@ -43,10 +43,10 @@ ANGLE_MAX_DEG = 15.0
 
 
 @pytest.fixture(scope="module")
-def loadstep_run(case14, Y14, gains14):
+def loadstep_run(case14, gains14):
     scenario = bundled.bundled_scenario(bundled.SCENARIO_LOADSTEP)
     t0 = time.perf_counter()
-    trace = run_scenario(case14, gains14, scenario, Y=Y14)
+    trace = run_scenario(case14, gains14, scenario)
     wall = time.perf_counter() - t0
     return trace, wall
 
@@ -165,10 +165,10 @@ def test_acceptance_04_load_step_scenario(case14, loadstep_run):
           f"Q {trace.sharing_Q[-1]:.1e}, wall {wall:.1f} s")
 
 
-def test_acceptance_05_inverter_loss(case14, Y14, gains14):
+def test_acceptance_05_inverter_loss(case14, gains14):
     """Criterion 5: losing inverter 1, survivors resynchronize and carry its share."""
     scenario = bundled.bundled_scenario(bundled.SCENARIO_DERLOSS)
-    trace = run_scenario(case14, gains14, scenario, Y=Y14)
+    trace = run_scenario(case14, gains14, scenario)
     _assert_secure_trace(trace, case14)
     event_row = int(np.searchsorted(trace.t, scenario.events[0].time)) - 1
     pre_total = trace.P_inv[event_row].sum()
@@ -180,7 +180,7 @@ def test_acceptance_05_inverter_loss(case14, Y14, gains14):
           f"{pre_total:.4f} pu (diff {100 * rel:.2f} %)")
 
 
-def test_acceptance_06_single_comm_link_loss(case14, Y14, gains14):
+def test_acceptance_06_single_comm_link_loss(case14, gains14):
     """Criterion 6: every single comm-link loss keeps the criterion-4 bounds."""
     removable = []
     for edge in case14.comm_edges:
@@ -196,7 +196,7 @@ def test_acceptance_06_single_comm_link_loss(case14, Y14, gains14):
             ],
             "sim": {"t_end": 60.0, "dt": 0.005, "record_stride": 20},
         }), case14)
-        trace = run_scenario(case14, gains14, scn, Y=Y14)
+        trace = run_scenario(case14, gains14, scn)
         assert not trace.meta["uncertified"]
         _assert_secure_trace(trace, case14)
     print(f"ACCEPTANCE #6 PASS: all {len(removable)} single-link losses keep the bounds")
@@ -287,13 +287,12 @@ def test_acceptance_09_velocity_coupling_bound(case14, Y14, loadstep_run):
 
 def test_acceptance_10_steady_state_oracle(triangle_case):
     """Criterion 10: simulated steady state matches an independent root finder."""
-    Y = mg.build_admittance(triangle_case)
     gains = mg.GainSet(blocks={0: -0.05 * np.eye(2), 1: -0.05 * np.eye(2)})
     x_start = solved_profile(triangle_case, np.array([0.0, 1.02, 0.0, 0.98]))
     scn = parse_scenario(json.dumps({
         "events": [], "sim": {"t_end": 40.0, "dt": 0.005, "record_stride": 100},
     }), triangle_case)
-    trace = run_scenario(triangle_case, gains, scn, Y=Y, initial=x_start)
+    trace = run_scenario(triangle_case, gains, scn, initial=x_start)
     theta_end = trace.theta[-1]
     E_end = trace.E[-1]
 
@@ -352,11 +351,11 @@ def test_acceptance_10_steady_state_oracle(triangle_case):
     print(f"ACCEPTANCE #10 PASS: steady state matches root-finding oracle to {err:.1e}")
 
 
-def test_acceptance_11_determinism(tmp_path, case14, Y14, gains14, loadstep_run):
+def test_acceptance_11_determinism(tmp_path, case14, gains14, loadstep_run):
     """Criterion 11: two runs of the load-step scenario are byte-identical."""
     trace1, _ = loadstep_run
     scenario = bundled.bundled_scenario(bundled.SCENARIO_LOADSTEP)
-    trace2 = run_scenario(case14, gains14, scenario, Y=Y14)
+    trace2 = run_scenario(case14, gains14, scenario)
     p1 = tmp_path / "run1.csv"
     p2 = tmp_path / "run2.csv"
     write_trace_csv(trace1, p1)

@@ -12,6 +12,7 @@ from microgridctl import certify
 from microgridctl import data as bundled
 from microgridctl.certify import (
     BlockBounds,
+    CAPACITY_MARGIN,
     EIG_TOL,
     CertificateError,
     IntervalHull,
@@ -21,6 +22,8 @@ from microgridctl.certify import (
     _VertexScreen,
     _below,
     _margin_stack,
+    _reach,
+    _schur_surrogate_eps,
     _search_certificate,
     _spectral_abscissa,
     block_feasibility,
@@ -480,11 +483,12 @@ def test_search_certificate_is_frozen(case14, gains14_synth, hull14):
     margins at every vertex gave (values recorded before the screen).  zeta
     is zeta_requested / 2^10, and zeta_requested is recorded from the
     complex-form ``LoadBusKCL`` derivative behind ``kappa_bound`` and
-    ``jacobians``."""
+    ``jacobians``.  eps is recorded from the closed-form Schur surrogate
+    lmax(U) / zeta."""
     cert = certificate_for_gains(case14, gains14_synth, hull14, u_steps=5)
     assert hashlib.sha256(cert.U.tobytes()).hexdigest() == (
         "b405dde8f156e62be7c427ea26344a501876284c7475da647940bec8e45885e8")
-    assert float(cert.eps).hex() == "0x1.1abb97a6c386ep+2"
+    assert float(cert.eps).hex() == "0x1.1abb9770e1cd0p+2"
     assert float(cert.xi).hex() == "0x1.197b7414a4d2cp-2"
     assert float(cert.zeta).hex() == "0x1.cf96f58bf5ffap-3"
     assert float(cert.d).hex() == "0x1.a88370d6cefc7p-3"
@@ -635,15 +639,54 @@ def test_stage1_is_frozen(separated_pair_case):
     arguments (passed their default values).  The synthesis digest is recorded
     from the complex-form ``LoadBusKCL`` derivative behind ``kappa_bound``
     and ``jacobians``: only its zeta, through zeta_requested, differs from
-    the real-form ``full_jacobian``'s."""
+    the real-form ``full_jacobian``'s.  Both digests are recorded from the
+    closed-form rate reach and Schur eps."""
     gains = stage1_gains(separated_pair_case, build_hull(separated_pair_case), iters=80)
     blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
     assert _digest(*blocks, [gains.theta_dot_max, gains.E_dot_max]) == (
-        "70c22998eee71c01f79c8e213b39ee899ba95def3cd697f8fb8c084a9eb7edda")
+        "3a7ded71e6ec22ffc898698e41e0555150bcb68da969b84162460464d2e8b7f6")
     gains, cert = certify.synthesize_gains(separated_pair_case, stage1_iters=120)
     blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
     assert _digest(*blocks, cert.U, [cert.eps, cert.xi, cert.zeta, cert.d]) == (
-        "5b2b2a5b8824d9c8125c02bb884970bc89f20017aadd5c238d3cc069fe25914b")
+        "328969557035227e05704ad853739227befc64217b4a977fc07b16c766fea7a0")
+
+
+def test_rate_reach_is_the_capacity_box_maximum(case14):
+    """``_reach`` equals max |a (L s_P)_k + b (L s_Q)_k| over every corner of
+    the capacity box, where a linear functional attains its maximum: the
+    1,024 corners of case14's five-inverter ring."""
+    lap = laplacian(case14.comm_edges, case14.inverter_ids)
+    m = len(lap.order)
+    corners = CAPACITY_MARGIN * np.array(list(itertools.product((0.0, 1.0), repeat=2 * m)))
+    mixed_p, mixed_q = corners[:, :m] @ lap.L.T, corners[:, m:] @ lap.L.T
+    rng = np.random.default_rng(5)
+    for row in [np.array([1.0, 0.0]), np.array([0.0, -3.0])] + list(rng.normal(size=(20, 2))):
+        for k in range(m):
+            brute = np.abs(row[0] * mixed_p[:, k] + row[1] * mixed_q[:, k]).max()
+            assert _reach(row, lap.L[k, k]) == pytest.approx(brute, rel=1e-12)
+
+
+def test_schur_eps_minimizes_the_surrogate_and_clips():
+    """eps * zeta^2 + lmax(U)^2 / eps at ``_schur_surrogate_eps`` is no worse
+    than at any point of a dense log grid over [1e-12, 1e6], and the result
+    stays inside that interval."""
+    rng = np.random.default_rng(3)
+    grid = np.logspace(-12.0, 6.0, 4001)
+    for _ in range(20):
+        A = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3, 3)
+        U = A @ A.T + 1e-6 * np.eye(4)
+        zeta = 10.0 ** rng.uniform(-4, 2)
+        umax = np.linalg.eigvalsh(U)[-1]
+
+        def surrogate(e):
+            return e * zeta ** 2 + umax ** 2 / e
+
+        eps = _schur_surrogate_eps(U, zeta)
+        assert surrogate(eps) <= surrogate(grid).min() * (1.0 + 1e-12)
+    assert _schur_surrogate_eps(np.eye(2), 0.0) == 1e6
+    assert _schur_surrogate_eps(np.eye(2), 1e-20) == 1e6
+    assert _schur_surrogate_eps(np.eye(2), 1e15) == 1e-12
+    assert _schur_surrogate_eps(4.0 * np.eye(2), 2.0) == 2.0
 
 
 def test_certificate_for_infeasible_gains_raises(separated_pair_case):

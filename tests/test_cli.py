@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ def _scenario(text):
 
 def _subnormal_line(command, patch):
     def argv(tmp_path):
-        doc = json.loads(open(CASE, encoding="utf-8").read())
+        doc = json.loads(Path(CASE).read_text(encoding="utf-8"))
         doc["lines"][0].update(patch)
         path = tmp_path / "case.json"
         path.write_text(json.dumps(doc))

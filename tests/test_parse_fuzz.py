@@ -208,10 +208,12 @@ def test_cli_on_fuzzed_trace_exits_with_a_documented_code(mutant_path, text):
 
 # -- one key policy and one number policy for every format ---------------------------
 #
-# Each edit turns a valid document into one every reader must refuse with its
-# documented error: a key the format does not know, at each object level that has
-# a fixed key set, or a number written as a string or a boolean.  The ranges file is
-# read only by ``check-case``, which must exit 1 with an ``error:`` line.
+# Each edit turns a valid document into the text of one every reader must refuse
+# with its documented error: a key the format does not know, at each object level
+# that has a fixed key set; a number written as a string or a boolean; a key
+# repeated in one object; or an id key not written as ``str(i)`` of an integer.
+# The ranges file is read only by ``check-case``, which must exit 1 with an
+# ``error:`` line.
 
 RANGES = {"P": {"0": [0.0, 5.0]}, "Q": {"3": [-1.0, 1.0]}}
 READERS = {  # format: (valid document, reader, documented error)
@@ -223,12 +225,38 @@ READERS = {  # format: (valid document, reader, documented error)
 }
 
 
+def _at(doc, path):
+    """The value at ``path`` (keys and list indices) of a document."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _set(path, value):
-    """An edit that stores ``value`` at ``path`` (keys and list indices) of a document."""
+    """An edit that stores ``value`` at ``path`` of a document."""
     def edit(doc):
-        for key in path[:-1]:
-            doc = doc[key]
-        doc[path[-1]] = value
+        _at(doc, path[:-1])[path[-1]] = value
+        return json.dumps(doc)
+    return edit
+
+
+def _rename(path, old, new):
+    """An edit that renames the key ``old`` of the object at ``path`` to ``new``."""
+    def edit(doc):
+        obj = _at(doc, path)
+        obj[new] = obj.pop(old)
+        return json.dumps(doc)
+    return edit
+
+
+def _repeat(path):
+    """An edit that writes the first key of the object at ``path`` twice, with the
+    same value: text that ``json.dumps`` of a dict cannot produce."""
+    def edit(doc):
+        obj = _at(doc, path)
+        first = next(iter(obj))
+        twice = "{" + json.dumps(first) + ": " + json.dumps(obj[first]) + ", " + json.dumps(obj)[1:]
+        return json.dumps(doc).replace(json.dumps(obj), twice, 1)
     return edit
 
 
@@ -263,6 +291,14 @@ EDITS = {
     "ranges-top-level": ("ranges", _set(["Qq"], {}), "'Qq'"),
     "ranges-string-number": ("ranges", _set(["P", "0", 0], "0"), NUMBER),
     "ranges-boolean-number": ("ranges", _set(["P", "0", 0], False), NUMBER),
+    "case-repeated-key": ("case", _repeat(["params"]), "repeated key 'gamma_deg'"),
+    "gains-repeated-bus": ("gains", _repeat(["gains_mrad_mV"]), "repeated key '0'"),
+    "scenario-repeated-key": ("scenario", _repeat(["sim"]), "repeated key 't_end'"),
+    "certificate-repeated-key": ("certificate", _repeat([]), "repeated key 'U'"),
+    "ranges-repeated-bus": ("ranges", _repeat(["P"]), "repeated key '0'"),
+    "gains-id-underscore": ("gains", _rename(["gains_mrad_mV"], "1", "0_1"), "'0_1'"),
+    "gains-id-blanks": ("gains", _rename(["gains_mrad_mV"], "2", " 2 "), "' 2 '"),
+    "ranges-id-leading-zero": ("ranges", _rename(["Q"], "3", "03"), "'03'"),
 }
 
 
@@ -286,6 +322,6 @@ def test_unknown_keys_and_non_numbers_are_refused(name, tmp_path, capsys):
     fmt, edit, match = EDITS[name]
     doc = copy.deepcopy(READERS[fmt][0])
     _read(fmt, json.dumps(doc), tmp_path, capsys)  # the edit is the document's only fault
-    edit(doc)
+    text = edit(doc)
     with pytest.raises(READERS[fmt][2], match=match):
-        _read(fmt, json.dumps(doc), tmp_path, capsys)
+        _read(fmt, text, tmp_path, capsys)

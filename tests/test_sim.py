@@ -67,9 +67,9 @@ def test_exact_equilibrium_holds_bitwise(balanced_pair):
     assert np.all(tr.sharing_P == 0.0)
 
 
-def test_empty_scenario_from_solved_equilibrium_is_constant(case14, Y14, gains14):
+def test_empty_scenario_from_solved_equilibrium_is_constant(case14, gains14):
     scn = scenario_of(case14, [], t_end=2.0, dt=0.005, stride=10)
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    tr = run_scenario(case14, gains14, scn)
     assert np.abs(tr.theta - tr.theta[0]).max() < 1e-8
     assert np.abs(tr.E - tr.E[0]).max() < 1e-8
     assert tr.sharing_P.max() < 1e-9
@@ -79,11 +79,10 @@ def test_empty_scenario_from_solved_equilibrium_is_constant(case14, Y14, gains14
 
 
 def test_triangle_sharing_error_strictly_decreases(triangle_case):
-    Y = mg.build_admittance(triangle_case)
     gains = mg.GainSet(blocks={0: -0.05 * np.eye(2), 1: -0.05 * np.eye(2)})
     x0 = solved_profile(triangle_case, np.array([0.0, 1.02, 0.0, 0.98]))
     scn = scenario_of(triangle_case, [], t_end=0.06, dt=5e-4, stride=1)
-    tr = run_scenario(triangle_case, gains, scn, Y=Y, initial=x0)
+    tr = run_scenario(triangle_case, gains, scn, initial=x0)
     first = tr.sharing_P[:101]
     assert np.all(np.diff(first) < 0.0)
     assert np.all(np.diff(tr.sharing_Q[:101]) < 0.0)
@@ -91,7 +90,7 @@ def test_triangle_sharing_error_strictly_decreases(triangle_case):
 
 def test_step_single_advance_matches_run(case14, Y14, gains14):
     x0 = solve_equilibrium(case14, Y14)
-    tr = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.005, dt=0.005), Y=Y14,
+    tr = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.005, dt=0.005),
                       initial=x0)
     assert tr.n_rows == 2
     # at equilibrium the derivative is ~0: the step stays put to solver tolerance
@@ -99,11 +98,11 @@ def test_step_single_advance_matches_run(case14, Y14, gains14):
     assert np.abs(tr.E[-1] - x0.E).max() < 1e-9
 
 
-def test_rate_limits_hold_on_recorded_series(case14, Y14, gains14):
+def test_rate_limits_hold_on_recorded_series(case14, gains14):
     scn = scenario_of(case14, [{"t": 0.1, "kind": "load_step", "bus": 9,
                                 "dP": 0.027, "dQ": 0.0174}],
                       t_end=2.0, dt=0.005, stride=1)
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    tr = run_scenario(case14, gains14, scn)
     inv = list(case14.inverter_ids)
     dt = np.diff(tr.t)
     ev = tr.meta["event_times"]
@@ -117,14 +116,13 @@ def test_rate_limits_hold_on_recorded_series(case14, Y14, gains14):
 
 
 def test_rotating_frame_invariance(triangle_case):
-    Y = mg.build_admittance(triangle_case)
     gains = mg.GainSet(blocks={0: -0.05 * np.eye(2), 1: -0.05 * np.eye(2)})
     x0 = solved_profile(triangle_case, np.array([0.0, 1.02, 0.0, 0.98]))
     shift = 0.4
     x0s = VoltageProfile(theta=x0.theta + shift, E=x0.E)
     scn = scenario_of(triangle_case, [], t_end=0.5, dt=0.005, stride=5)
-    tr = run_scenario(triangle_case, gains, scn, Y=Y, initial=x0)
-    trs = run_scenario(triangle_case, gains, scn, Y=Y, initial=x0s)
+    tr = run_scenario(triangle_case, gains, scn, initial=x0)
+    trs = run_scenario(triangle_case, gains, scn, initial=x0s)
     assert np.abs((trs.theta - tr.theta) - shift).max() < 1e-9
     assert np.abs(trs.E - tr.E).max() < 1e-9
     assert np.abs(trs.sharing_P - tr.sharing_P).max() < 1e-9
@@ -152,9 +150,9 @@ def test_trace_csv_bytes_match_per_value_formatting(tmp_path, case14, gains14):
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
 
 
-def test_trace_csv_roundtrip(tmp_path, case14, Y14, gains14):
+def test_trace_csv_roundtrip(tmp_path, case14, gains14):
     scn = scenario_of(case14, [], t_end=0.1, dt=0.005, stride=2)
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    tr = run_scenario(case14, gains14, scn)
     path = tmp_path / "trace.csv"
     write_trace_csv(tr, path)
     back = read_trace_csv(path)
@@ -166,9 +164,9 @@ def test_trace_csv_roundtrip(tmp_path, case14, Y14, gains14):
     assert np.array_equal(back.newton_iters, tr.newton_iters)
 
 
-def test_metrics_on_constant_trace(case14, Y14, gains14):
+def test_metrics_on_constant_trace(case14, gains14):
     scn = scenario_of(case14, [], t_end=0.5, dt=0.005, stride=5)
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    tr = run_scenario(case14, gains14, scn)
     m = metrics(tr, case14)
     assert m.final_sharing_P < 1e-9
     assert m.final_sharing_Q < 1e-9
@@ -177,18 +175,18 @@ def test_metrics_on_constant_trace(case14, Y14, gains14):
     assert m.time_to_sharing_tol == 0.0
 
 
-def test_metrics_without_case_uses_meta(case14, Y14, gains14):
+def test_metrics_without_case_uses_meta(case14, gains14):
     scn = scenario_of(case14, [], t_end=0.1, dt=0.005)
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    tr = run_scenario(case14, gains14, scn)
     m = metrics(tr)  # falls back to trace metadata for f0/gamma
     assert m.max_freq_dev is not None
     assert m.voltage_violations is None  # bounds need the case
 
 
-def test_event_between_grid_points_applies_at_next_step(case14, Y14, gains14):
+def test_event_between_grid_points_applies_at_next_step(case14, gains14):
     scn = scenario_of(case14, [{"t": 0.0123, "kind": "load_step", "bus": 9, "dP": 0.02}],
                       t_end=0.1, dt=0.005, stride=1)
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    tr = run_scenario(case14, gains14, scn)
     assert tr.meta["event_times"] == (0.015,)
 
 
@@ -260,24 +258,24 @@ def test_step_count_is_bounded():
         SimConfig(dt=0.005, t_end=1e12)
 
 
-def test_velocity_check_skips_event_intervals(case14, Y14, gains14):
+def test_velocity_check_skips_event_intervals(case14, gains14):
     scn = scenario_of(case14, [{"t": 0.05, "kind": "load_step", "bus": 9, "dP": 0.05,
                                 "dQ": 0.02}],
                       t_end=0.5, dt=0.005, stride=1)
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    tr = run_scenario(case14, gains14, scn)
     # a generous kappa: no violations; the event interval is excluded internally
     viol = velocity_ratio_violations(tr, case14, kappa=1e6)
     assert viol == []
 
 
-def test_step_size_self_convergence(case14, Y14, gains14):
+def test_step_size_self_convergence(case14, gains14):
     """Halving the step changes the 10 s state by far less than the tolerance."""
     final = {}
     for dt in (1e-3, 5e-4):
         scn = scenario_of(case14, [{"t": 1.0, "kind": "load_step", "bus": 9,
                                     "dP": 0.027, "dQ": 0.0174}],
                           t_end=10.0, dt=dt, stride=int(round(1.0 / dt)))
-        tr = run_scenario(case14, gains14, scn, Y=Y14)
+        tr = run_scenario(case14, gains14, scn)
         final[dt] = (tr.theta[-1], tr.E[-1])
     d_theta = np.abs(final[1e-3][0] - final[5e-4][0]).max()
     d_E = np.abs(final[1e-3][1] - final[5e-4][1]).max()
@@ -308,7 +306,7 @@ def mixed_gains():
 
 def test_bundled_loadstep_is_solved_by_elimination_alone(case14, Y14, gains14):
     scn = bundled.bundled_scenario(bundled.SCENARIO_LOADSTEP)
-    tr = run_scenario(case14, gains14, scn, Y=Y14)
+    tr = run_scenario(case14, gains14, scn)
     assert kcl_per_row(case14, Y14, tr, scn.events).max() <= 1e-12
     assert not tr.newton_iters.any()
     n_steps = int(round(scn.config.t_end / scn.config.dt))
@@ -323,17 +321,17 @@ def test_bundled_loadstep_is_solved_by_elimination_alone(case14, Y14, gains14):
     }
 
 
-def test_failed_equilibrium_start_is_recorded(monkeypatch, case14, Y14, gains14):
+def test_failed_equilibrium_start_is_recorded(monkeypatch, case14, gains14):
     def fails(*args, **kwargs):
         raise NewtonError("synthetic equilibrium failure")
 
     monkeypatch.setattr(sim, "solve_equilibrium", fails)
-    tr = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.05), Y=Y14)
+    tr = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.05))
     assert tr.meta["stats"]["start"] == "flat"
     assert tr.meta["stats"]["start_fallback"] == "synthetic equilibrium failure"
     assert np.all(tr.theta[0, list(case14.inverter_ids)] == 0.0)
     assert np.all(tr.E[0, list(case14.inverter_ids)] == 1.0)
-    given = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.05), Y=Y14,
+    given = run_scenario(case14, gains14, scenario_of(case14, [], t_end=0.05),
                          initial=VoltageProfile.flat(case14.n))
     assert given.meta["stats"]["start"] == "initial"
     assert given.meta["stats"]["start_fallback"] is None
@@ -362,7 +360,7 @@ def test_mixed_case_keeps_newton_for_nonlinear_buses(mixed_case):
         {"t": 0.1, "kind": "der_loss", "bus": 2, "residual": {"P": 0.05, "Q": 0.02}},
         {"t": 0.2, "kind": "load_step", "bus": 3, "dP": 0.05, "dQ": 0.02},
     ], t_end=0.5, dt=0.005)
-    tr = run_scenario(mixed_case, mixed_gains(), scn, Y=Y)
+    tr = run_scenario(mixed_case, mixed_gains(), scn)
     stats = tr.meta["stats"]
     assert stats["eliminated_buses"] == [2, 2, 2]  # buses 3 and 4 throughout
     assert tr.newton_iters.sum() > 0
@@ -377,7 +375,7 @@ def test_step_returns_full_profile_satisfying_kcl(mixed_case):
     lost = {"t": 0.0, "kind": "der_loss", "bus": 2, "residual": {"P": 0.05, "Q": 0.02}}
     for events in ([], [lost]):
         scn = scenario_of(mixed_case, events, t_end=0.005, dt=0.005)
-        tr = run_scenario(mixed_case, mixed_gains(), scn, Y=Y, initial=x0)
+        tr = run_scenario(mixed_case, mixed_gains(), scn, initial=x0)
         assert tr.n_rows == 2 and tr.theta.shape == tr.E.shape == (2, mixed_case.n)
         cond = OperatingCondition.initial(mixed_case)
         for ev in scn.events:
