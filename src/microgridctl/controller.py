@@ -107,7 +107,8 @@ class ControlState:
     The arrays follow ``lap.order`` (the active inverters, ascending) and
     rates are ``[theta_dot; E_dot]`` stacked flat.  ``mix`` applies the
     Laplacian to ``[P/P*; Q/Q*]``, ``gain`` each inverter's 2x2 block to its
-    mixed pair; ``rate_max`` holds the rate limits, ``e_lo``/``e_hi`` the box.
+    mixed pair; ``rate_max`` holds the rate limits and ``rate_min`` their
+    negatives, ``e_lo``/``e_hi`` the box.
     """
 
     lap: CommLaplacian
@@ -116,6 +117,7 @@ class ControlState:
     mix: np.ndarray
     gain: np.ndarray
     rate_max: np.ndarray
+    rate_min: np.ndarray
     e_lo: np.ndarray
     e_hi: np.ndarray
 
@@ -128,13 +130,15 @@ class ControlState:
         q_star = np.array([b.Q_star for b in buses])
         # gain[r*m + k, c*m + j] = K[k, r, c] for j == k
         gain = K.transpose(1, 0, 2)[:, :, :, None] * np.eye(m)[None, :, None, :]
+        rate_max = np.repeat([gains.theta_dot_max, gains.E_dot_max], m)
         return ControlState(
             lap=lap,
             p_star=p_star,
             q_star=q_star,
             mix=np.kron(np.eye(2), lap.L) / np.concatenate((p_star, q_star)),
             gain=gain.reshape(2 * m, 2 * m),
-            rate_max=np.repeat([gains.theta_dot_max, gains.E_dot_max], m),
+            rate_max=rate_max,
+            rate_min=-rate_max,
             e_lo=np.array([b.E_min for b in buses]),
             e_hi=np.array([b.E_max for b in buses]),
         )
@@ -147,15 +151,20 @@ def control_derivative(state: ControlState, P, Q, E, out=None):
     maps stay apart rather than fused into one, so the mix rounds as the
     unfused law does and an exactly shared input gives exact zero rates.
     An E_dot pointing out of the voltage box from its boundary is zeroed.
-    Returns the rates (in ``out`` if given) and the raw rates, for
-    ``clamp_count``.
+    ``E = None`` says every magnitude lies strictly inside the box, where
+    the clamp changes nothing, so it is skipped.  The simulator shows this
+    once per RK4 step for all four stages: saturation bounds each rate by
+    its limit and the clamp only zeroes rates, so a step moves E by at
+    most dt E_dot_max (``sim._Engine._try_step``).  Returns the rates (in
+    ``out`` if given) and the raw rates, for ``clamp_count``.
     """
     raw = state.gain.dot(state.mix.dot(np.concatenate((P, Q))))
     out = np.minimum(raw, state.rate_max, out=out)
-    np.maximum(out, -state.rate_max, out=out)
-    e_dot = out[len(E):]
-    np.minimum(e_dot, 0.0, out=e_dot, where=E >= state.e_hi)
-    np.maximum(e_dot, 0.0, out=e_dot, where=E <= state.e_lo)
+    np.maximum(out, state.rate_min, out=out)
+    if E is not None:
+        e_dot = out[len(E):]
+        np.minimum(e_dot, 0.0, out=e_dot, where=E >= state.e_hi)
+        np.maximum(e_dot, 0.0, out=e_dot, where=E <= state.e_lo)
     return out, raw
 
 

@@ -12,7 +12,11 @@ implicit-function tangent from the last solution, on a
 ``powerflow.LoadBusKCL`` set up with the condition, whose network
 evaluation the control law then reuses; without any, a stage is one
 injection evaluation and one call of the control law, integrated on a
-flat ``[theta; E]`` work array.  Scenario
+flat ``[theta; E]`` work array.  The law's voltage clamp is decided once
+per step: the rate limit bounds how far a step's stages can move each E,
+so a step that starts far enough inside the box skips the clamp at all
+four stages, which leaves every rate bit for bit unchanged
+(``_Engine._try_step``).  Scenario
 events reconfigure the operating condition between steps.  Traces are
 deterministic: fixed step, fixed iteration order, no wall-clock anywhere.
 Their columns, in memory and in the CSV, follow one table, ``TRACE_COLUMNS``.
@@ -111,20 +115,26 @@ class Scenario:
 def parse_scenario(text: str, case: NetworkCase | None = None) -> Scenario:
     """Parse a JSON scenario: ``{"events": [...], "sim": {...}}``.
 
-    Event times are seconds; events are validated against the case when
-    one is supplied and come out sorted by time.  Malformed input, a key
-    the format does not know included, raises ParseError; out-of-range or
-    non-finite values raise ValidationError.
+    Event times are seconds within the run, [0, t_end]; events are
+    validated against the case when one is supplied and come out sorted by
+    time.  Malformed input, a key the format does not know included, raises
+    ParseError; out-of-range or non-finite values, an event time outside
+    the run included, raise ValidationError.
     """
     return decode(text, "scenario", lambda raw: _scenario_from_json(raw, case))
 
 
 def _scenario_from_json(raw, case: NetworkCase | None) -> Scenario:
     known_keys(raw, ("events", "sim"), "scenario")
+    sim = known_keys(raw.get("sim", {}), SIM_KEYS, "sim")
+    config = SimConfig(**{key: SIM_KEYS[key](value, key) for key, value in sim.items()})
     events = []
-    for rec in raw.get("events", []):
+    for n, rec in enumerate(raw.get("events", [])):
         kind = known_kind(rec, EVENT_KEYS, "event")
         t = json_float(rec["t"], "event t")
+        if not 0.0 <= t <= config.t_end:
+            raise ValidationError(f"event {n} ({kind} at t = {t:g} s) lies outside the run,"
+                                  f" [0, {config.t_end:g}] s")
         if kind == LOAD_STEP:
             ev = FaultEvent(time=t, kind=kind, bus=json_int(rec["bus"], "event bus"),
                             **json_floats(rec, [k for k in ("dP", "dQ") if k in rec], "event"))
@@ -143,8 +153,6 @@ def _scenario_from_json(raw, case: NetworkCase | None) -> Scenario:
             ev.validate_against(case)
         events.append(ev)
     events.sort(key=lambda e: e.time)
-    sim = known_keys(raw.get("sim", {}), SIM_KEYS, "sim")
-    config = SimConfig(**{key: SIM_KEYS[key](value, key) for key, value in sim.items()})
     return Scenario(events=tuple(events), config=config)
 
 
@@ -374,6 +382,12 @@ class _Engine:
     it starts from.  After a solve, ``kcl`` holds the kept buses'
     injections at x, and ``derivative`` takes the inverters' rows from it
     rather than evaluating the network again.
+
+    Each step first checks whether every active inverter's E starts more
+    than 2 dt E_dot_max inside its box; the rate limit keeps the stages
+    within dt E_dot_max of the start, so then the voltage clamp cannot
+    fire and ``derivative`` skips it at all four stages (``_try_step`` gives
+    the argument).  ``box_steps`` counts the step attempts that kept it.
     """
 
     def __init__(self, case: NetworkCase, gains: GainSet, Y, cond: OperatingCondition,
@@ -382,7 +396,7 @@ class _Engine:
         self.gains = gains
         self.Y = Y
         self.stats = {"eliminated_buses": [], "newton_iters": 0, "dt_halvings": 0,
-                      "derivative_evals": 0, "tangent_updates": 0}
+                      "derivative_evals": 0, "tangent_updates": 0, "box_steps": 0}
         self.set_condition(cond, theta, E)
 
     def set_condition(self, cond: OperatingCondition, theta, E):
@@ -408,6 +422,8 @@ class _Engine:
         self.x = np.concatenate((np.asarray(theta, dtype=float)[self.kept],
                                  np.asarray(E, dtype=float)[self.kept]))
         self.theta, self.E = self.x[:nk], self.x[nk:]
+        self.E_act = self.E[:n]
+        self.box = list(zip(self.control.e_lo.tolist(), self.control.e_hi.tolist()))
         self.ia = slice(None) if nk == n else np.r_[0:n, nk : nk + n]
         self.il = np.r_[n:nk, nk + n : 2 * nk]
         self.anchor = None
@@ -464,29 +480,56 @@ class _Engine:
         self.stats["derivative_evals"] += 1
         return control_derivative(self.control, P_act, Q_act, E_act, out)
 
-    def derivative(self, out=None):
+    def derivative(self, E_act, out):
         """Control law on the reduced network's injections at the kept state.
 
-        Right after a solve they are ``kcl``'s, bit for bit what
-        ``injections_raw`` gives; otherwise they are evaluated here.
+        The voltage clamp is fed ``E_act``: the inverters' magnitudes
+        (``self.E_act``), or None within a step that ``_try_step`` has shown
+        to stay clear of the box.  Right after a solve the injections are
+        ``kcl``'s, bit for bit what ``injections_raw`` gives; otherwise they
+        are evaluated here.
         """
         n = self.n_act
         if self.solved:
             P, Q = self.kcl.S.real, self.kcl.S.imag
         else:
             P, Q = injections_raw(self.Y_red, self.theta, self.E)
-        return self.control_law(P[:n], Q[:n], self.E[:n], out)[0]
+        return self.control_law(P[:n], Q[:n], E_act, out)[0]
 
     def _try_step(self, dt: float) -> int:
+        """One RK4 step of size dt, deciding once whether its stages need the clamp.
+
+        Saturation bounds every stage rate by |E_dot| <= E_dot_max, and the
+        clamp only sets rates to zero.  A stage magnitude is x0 + (c dt) k
+        with c <= 1, computed as fl(E0 + d) with d = fl(fl(c dt) k); as
+        fl(c dt) <= dt and rounding is monotone, |d| <= D = fl(dt E_dot_max).
+        Monotone rounding again gives fl(E0 - 2D) <= fl(E0 - D) <= fl(E0 + d)
+        <= fl(E0 + D) <= fl(E0 + 2D).  So when every active inverter has
+        fl(E0 - 2D) > e_lo and fl(E0 + 2D) < e_hi, no stage meets E >= e_hi
+        or E <= e_lo, the clamp would change nothing, and all four stages
+        skip it: the rates come out bit for bit the same.  (One D would
+        do; the second is headroom.)  A halved retry decides again with its
+        own dt.  ``box_steps`` counts the attempts, retries included, that
+        kept the clamp on.
+        """
         x, ia, k = self.x, self.ia, self.k
         x0 = x[ia].copy()
+        band = 2.0 * (dt * self.gains.E_dot_max)
+        near = not all(lo < e - band and e + band < hi
+                       for e, (lo, hi) in zip(x0[self.n_act :].tolist(), self.box))
+        self.stats["box_steps"] += near
+        E_act = self.E_act if near else None
+        whole = self.kcl is None  # x[ia] is all of x: update it in place
         its = 0
-        for s, c in enumerate((0.5, 0.5, 1.0)):
-            x[ia] = x0 + c * dt * self.derivative(k[s])
+        for s, c in enumerate((0.5, 0.5, 1.0, None)):  # three stages, then the update
+            self.derivative(E_act, k[s])
+            d = c * dt * k[s] if c else (dt / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+            if whole:
+                np.add(x0, d, out=x)
+            else:
+                x[ia] = x0 + d
             its += self.resolve_algebraic()
-        self.derivative(k[3])
-        x[ia] = x0 + (dt / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-        return its + self.resolve_algebraic()
+        return its
 
     def advance(self, dt: float, depth: int = 0) -> int:
         """One step of size dt; on Newton failure halve up to 4 times."""
@@ -520,8 +563,9 @@ def run_scenario(
     frequency columns come from the full network at the recorded state.
     ``meta["stats"]`` holds the run's counters: eliminated buses per
     operating condition, Newton iterations, dt halvings, control-law
-    evaluations and rebuilds of the load-solve tangent
-    (``tangent_updates``), plus the start used (``"initial"``,
+    evaluations, rebuilds of the load-solve tangent (``tangent_updates``)
+    and step attempts that kept the voltage clamp on (``box_steps``),
+    plus the start used (``"initial"``,
     ``"equilibrium"`` or ``"flat"``) and, for the flat fallback, why the
     equilibrium solve failed.
     """

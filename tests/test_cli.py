@@ -128,6 +128,16 @@ def test_simulate_infeasible_load_is_numerical_failure(tmp_path, capsys):
     assert main(["simulate", str(case), str(gains), str(scen)]) == 2
 
 
+def test_simulate_event_outside_the_run_exits_1(tmp_path, capsys):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "events": [{"t": 5.0, "kind": "load_step", "bus": 9, "dP": 0.01}],
+        "sim": {"t_end": 0.1, "dt": 0.005},
+    }))
+    assert main(["simulate", CASE, GAINS, str(scen)]) == 1
+    assert "event 0 (load_step at t = 5 s) lies outside the run" in capsys.readouterr().err
+
+
 def test_simulate_bad_scenario_exits_1(tmp_path, capsys):
     for name, text in {**MALFORMED_SCENARIOS, **NON_FINITE_SCENARIOS}.items():
         scen = tmp_path / f"{name}.json"
@@ -168,7 +178,7 @@ def test_simulate_stats_prints_run_counters(tmp_path, capsys):
     # 20 RK4 steps of 4 stages, plus one law evaluation per recorded row (t = 0, 0.02, ..., 0.1)
     assert stats == {"derivative_evals": 86, "dt_halvings": 0, "eliminated_buses": [9, 10],
                      "newton_iters": 0, "start": "equilibrium", "start_fallback": None,
-                     "tangent_updates": 0}
+                     "tangent_updates": 0, "box_steps": 0}
 
 
 def _json_lines(text):

@@ -36,7 +36,9 @@ from conftest import (
     inverter,
     line,
     make_case,
+    pq_load,
     solved_profile,
+    z_load,
 )
 
 
@@ -233,6 +235,18 @@ def test_scenario_parse_sorts_and_validates(case14):
         parse_scenario(json.dumps({"events": [{"t": 1.0, "kind": "meteor"}]}), case14)
 
 
+@pytest.mark.parametrize("t, inside", [(-1.0, False), (0.0, True), (0.1, True), (5.0, False)])
+def test_scenario_refuses_events_outside_the_run(case14, t, inside):
+    text = json.dumps({"events": [{"t": 0.05, "kind": "comm_loss", "edge": [0, 1]},
+                                  {"t": t, "kind": "load_step", "bus": 9, "dP": 0.01}],
+                       "sim": {"t_end": 0.1, "dt": 0.005}})
+    if inside:
+        assert sorted(e.time for e in parse_scenario(text, case14).events) == sorted([0.05, t])
+    else:
+        with pytest.raises(mg.ValidationError, match=rf"event 1 \(load_step at t = {t:g} s\)"):
+            parse_scenario(text, case14)
+
+
 @pytest.mark.parametrize("text, key", [
     ('{"sim": {"t_ned": 5}, "evnts": []}', "'evnts'"),
     ('{"sim": {"t_ned": 5}}', "'t_ned'"),
@@ -316,6 +330,7 @@ def test_bundled_loadstep_is_solved_by_elimination_alone(case14, Y14, gains14):
         "dt_halvings": 0,
         "derivative_evals": 4 * n_steps + tr.n_rows,
         "tangent_updates": 0,
+        "box_steps": 0,  # the study stays clear of the voltage box
         "start": "equilibrium",
         "start_fallback": None,
     }
@@ -400,7 +415,7 @@ def test_reduced_engine_matches_full_network(mixed_case):
         theta, E = eng.full()
         P, Q = injections_raw(Y, theta, E)
         xdot, _ = control_derivative(eng.control, P[eng.act], Q[eng.act], E[eng.act])
-        assert np.abs(eng.derivative() - xdot).max() < 1e-12
+        assert np.abs(eng.derivative(eng.E_act, None) - xdot).max() < 1e-12
         full.append(theta)
     assert np.abs(full[1] - full[0] - shift).max() < 1e-9
 
@@ -442,7 +457,7 @@ def cpower14_engine(case, gains):
     eng = _Engine(case, gains, Y, apply_event(case, OperatingCondition.initial(case), step),
                   x0.theta, x0.E)
     eng.resolve_algebraic()
-    assert np.array_equal(eng.derivative(), law_from_scratch(eng))
+    assert np.array_equal(eng.derivative(eng.E_act, None), law_from_scratch(eng))
     for _ in range(3):
         eng.advance(0.005)
     return eng
@@ -470,7 +485,7 @@ def test_halved_retry_after_stage_3_failure_matches_fresh_half_steps(monkeypatch
     fresh.advance(0.0025)
     fresh.advance(0.0025)
     assert np.array_equal(eng.x, fresh.x)  # the same operations on the same state
-    assert np.array_equal(eng.derivative(), law_from_scratch(eng))
+    assert np.array_equal(eng.derivative(eng.E_act, None), law_from_scratch(eng))
 
 
 def test_derivative_after_rollback_is_evaluated_afresh(monkeypatch, cpower14, gains14):
@@ -490,7 +505,7 @@ def test_derivative_after_rollback_is_evaluated_afresh(monkeypatch, cpower14, ga
     with pytest.raises(SimulationError):
         eng.advance(0.005)
     assert np.array_equal(eng.x, saved) and eng.anchor is None
-    assert np.array_equal(eng.derivative(), law_from_scratch(eng))
+    assert np.array_equal(eng.derivative(eng.E_act, None), law_from_scratch(eng))
 
 
 def test_constant_power_newton_counts_are_pinned(cpower14, gains14):
@@ -512,10 +527,81 @@ def test_constant_power_newton_counts_are_pinned(cpower14, gains14):
         "dt_halvings": 0,
         "derivative_evals": 253,
         "tangent_updates": 83,
+        "box_steps": 0,
         "start": "equilibrium",
         "start_fallback": None,
     }
     assert tr.newton_iters.tolist() == [0, 0, 0, 0, 3, 10, 10, 10, 13, 10, 10, 10, 10]
+
+
+# -- the voltage clamp mid-run --------------------------------------------------------
+
+BOX_LO_0, BOX_HI_1 = 1.0127, 1.0072  # inverter 0's E_min, inverter 1's E_max
+
+
+def box_pair():
+    """Two inverters that a reactive load step drives onto their voltage boxes.
+
+    After the step at t = 0.05 s inverter 0's E falls onto its E_min and
+    inverter 1's rises onto its E_max; bus 3's constant-power load keeps
+    Newton in every stage, so a failed solve can force a dt halving.
+    """
+    case = make_case(
+        [inverter(0, P=1.0, Q=0.5, lo=BOX_LO_0), inverter(1, P=0.5, Q=0.25, hi=BOX_HI_1),
+         z_load(2, G=0.4, B=0.15), pq_load(3, P=0.1, Q=0.05)],
+        [line(0, 2, R=0.03, X=0.12), line(1, 3, R=0.04, X=0.15), line(2, 3, R=0.02, X=0.1)],
+        [[0, 1]],
+    )
+    gains = mg.GainSet(blocks={0: -50.0 * np.eye(2), 1: -50.0 * np.eye(2)})
+    scn = scenario_of(case, [{"t": 0.05, "kind": "load_step", "bus": 2, "dQ": 0.3}],
+                      t_end=0.6, dt=0.002, stride=10)
+    return case, gains, scn
+
+
+def clamp_at_every_stage(monkeypatch):
+    """Make every stage feed the voltage clamp, as if no step were clear of the box."""
+    derivative = sim._Engine.derivative
+    monkeypatch.setattr(sim._Engine, "derivative",
+                        lambda eng, E_act, out: derivative(eng, eng.E_act, out))
+
+
+def csv_and_stats(tmp_path, case, gains, scn):
+    """A run's trace, its CSV bytes and its stats."""
+    tr = run_scenario(case, gains, scn)
+    path = tmp_path / f"trace{len(list(tmp_path.iterdir()))}.csv"
+    write_trace_csv(tr, path)
+    return tr, path.read_bytes(), tr.meta["stats"]
+
+
+def test_clamp_firing_mid_run_matches_clamp_at_every_stage(monkeypatch, tmp_path):
+    case, gains, scn = box_pair()
+    tr, csv, stats = csv_and_stats(tmp_path, case, gains, scn)
+    assert (tr.clamp_active > 0).sum() >= 20
+    assert tr.E[:, 0].min() <= BOX_LO_0 and tr.E[:, 1].max() >= BOX_HI_1
+    assert 0 < stats["box_steps"] < 300  # the steps before the load step skip the clamp
+    clamp_at_every_stage(monkeypatch)
+    _, ref_csv, ref_stats = csv_and_stats(tmp_path, case, gains, scn)
+    assert csv == ref_csv and stats == ref_stats
+
+
+def test_halved_retry_near_the_box_matches_clamp_at_every_stage(monkeypatch, tmp_path):
+    case, gains, scn = box_pair()
+    clean = run_scenario(case, gains, scn).meta["stats"]
+    solve, calls = sim.solve_algebraic, []
+
+    def flaky(kcl, theta, E):  # fails twice in a row, then once more, all while clamping
+        calls.append(1)
+        if len(calls) in (400, 401, 801):
+            raise NewtonError("synthetic failure", iterations=0)
+        return solve(kcl, theta, E)
+
+    monkeypatch.setattr(sim, "solve_algebraic", flaky)
+    _, csv, stats = csv_and_stats(tmp_path, case, gains, scn)
+    assert stats["dt_halvings"] == 3 and stats["box_steps"] > clean["box_steps"]
+    calls.clear()
+    clamp_at_every_stage(monkeypatch)
+    _, ref_csv, ref_stats = csv_and_stats(tmp_path, case, gains, scn)
+    assert csv == ref_csv and stats == ref_stats
 
 
 def test_losing_every_inverter_is_a_simulation_error(mixed_case):
