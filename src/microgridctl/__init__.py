@@ -44,6 +44,7 @@ from .certify import (
     certificate_for_gains,
     certification_vertices,
     entry_bounds,
+    inherited_feasibility,
     load_certificate,
     synthesize_gains,
     verify_certificate,
@@ -53,7 +54,6 @@ from .contingency import (
     FaultEvent,
     OperatingCondition,
     apply_event,
-    inherited_feasibility,
 )
 from .sim import (
     Scenario,

@@ -49,6 +49,7 @@ from .controller import (
     gains_to_json,
 )
 from .powerflow import LoadBusKCL, VoltageProfile, full_jacobian, interleave, kappa_bound
+from .contingency import OperatingCondition
 
 EIG_TOL = 1e-9  # absolute tolerance on extreme eigenvalues in all checks
 
@@ -397,10 +398,36 @@ class BlockFeasibility:
     d: float
 
 
-def block_eig_max(D_stack: np.ndarray, K_b: np.ndarray) -> np.ndarray:
-    """lambda_max(D K_b + K_b^T D^T) for every vertex matrix D of a block."""
-    H = np.einsum("kij,jl->kil", D_stack, K_b)
-    return np.linalg.eigvalsh(H + H.transpose(0, 2, 1))[:, -1]
+@dataclass(frozen=True)
+class InheritedFeasibility:
+    """Result of re-checking block feasibility on the surviving inverters."""
+
+    checked: bool
+    passed: bool
+    worst: float
+    margin: float
+    reason: str
+
+
+def _worst_block_eig(gains: GainSet, hull: IntervalHull, keep) -> float:
+    """Largest lambda_max(D K_b + K_b^T D^T) over the block vertices of ``keep``.
+
+    A block that keeps all its inverters uses its whole vertex stack; one
+    that keeps some uses the survivors' principal submatrices, and one that
+    keeps none is skipped.  -inf when no block keeps an inverter.
+    """
+    worst = -np.inf
+    for blk, bb in zip(hull.blocks, hull.per_block):
+        kept = [i for i in blk if i in keep]
+        if not kept:
+            continue
+        D = bb.D_stack
+        if len(kept) < len(blk):
+            idx = [2 * p + s for p, i in enumerate(blk) if i in keep for s in (0, 1)]
+            D = D[:, idx][:, :, idx]
+        H = np.einsum("kij,jl->kil", D, gains.stacked(kept))
+        worst = max(worst, float(np.linalg.eigvalsh(H + H.transpose(0, 2, 1))[:, -1].max()))
+    return worst
 
 
 def block_feasibility(gains: GainSet, hull: IntervalHull, d: float) -> BlockFeasibility:
@@ -410,9 +437,29 @@ def block_feasibility(gains: GainSet, hull: IntervalHull, d: float) -> BlockFeas
     what the later Schur/Lyapunov step consumes; the worst eigenvalue over
     all blocks is reported.
     """
-    worst = max(float(block_eig_max(bb.D_stack, gains.stacked(blk)).max())
-                for blk, bb in zip(hull.blocks, hull.per_block))
+    worst = _worst_block_eig(gains, hull, {i for blk in hull.blocks for i in blk})
     return BlockFeasibility(passed=worst <= -d + EIG_TOL, worst=worst, d=d)
+
+
+def inherited_feasibility(gains: GainSet, hull: IntervalHull, condition: OperatingCondition,
+                          d: float) -> InheritedFeasibility:
+    """Direct re-check of the per-block conditions on the survivor set.
+
+    The survivor Jacobian hull vertices are principal submatrices of the
+    full-system ones, so (Cauchy interlacing) a connected survivor set can
+    only improve the margin; the check is run anyway rather than trusted.
+    Disconnected survivor comm graphs are reported as skipped, outside the
+    guarantee.
+    """
+    reason = "survivor comm graph disconnected"
+    if condition.connected:
+        worst = _worst_block_eig(gains, hull, set(condition.active_inverters))
+        if worst > -np.inf:
+            return InheritedFeasibility(checked=True, passed=worst <= -d + EIG_TOL,
+                                        worst=worst, margin=-worst, reason="")
+        reason = "no surviving inverters"
+    nan = float("nan")
+    return InheritedFeasibility(checked=False, passed=False, worst=nan, margin=nan, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +637,7 @@ class VerificationReport:
     worst_vertex: int
     tol: float
     n_vertices: int
-    n_product: int | None = None  # full per-block product size; None for supplied vertices
+    n_product: int | None  # full per-block product size; None for supplied vertices
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -1032,7 +1079,7 @@ def _search_certificate(A_stack, candidates, zeta, u_steps):
 def certificate_for_gains(
     case: NetworkCase,
     gains: GainSet,
-    hull: IntervalHull | None = None,
+    hull: IntervalHull,
     u_steps: int = 25,
 ) -> StabilityCertificate:
     """Stage 2: search (U, eps, xi) certifying the given gains.
@@ -1082,8 +1129,6 @@ def certificate_for_gains(
     unverified: the result is re-checked with exact margins at every
     vertex.
     """
-    if hull is None:
-        hull = build_hull(case)
     if case.n_inverters < 2:
         raise SynthesisError("certificates need at least two inverters")
     lap = laplacian(case.comm_edges, case.inverter_ids)
@@ -1139,14 +1184,12 @@ def certificate_for_gains(
 
 def synthesize_gains(
     case: NetworkCase,
-    hull: IntervalHull | None = None,
+    hull: IntervalHull,
     stage1_iters: int = 400,
 ) -> tuple[GainSet, StabilityCertificate]:
     """Full two-stage synthesis: gains via per-block subgradient descent,
     then a certificate for the result.  Clean SynthesisError on failure.
     """
-    if hull is None:
-        hull = build_hull(case)
     gains = stage1_gains(case, hull, iters=stage1_iters)
     cert = certificate_for_gains(case, gains, hull)
     return gains, cert

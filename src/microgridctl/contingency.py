@@ -12,11 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .netmodel import CommLaplacian, Load, NetworkCase, ValidationError, laplacian
-from .certify import EIG_TOL, IntervalHull, block_eig_max
-from .controller import GainSet
 
 DER_LOSS = "der_loss"
 COMM_LOSS = "comm_loss"
@@ -135,61 +131,3 @@ def apply_event(case: NetworkCase, condition: OperatingCondition,
     overrides = tuple((b, ld) for b, ld in condition.load_overrides if b != event.bus)
     overrides += ((event.bus, new_load),)
     return replace(condition, load_overrides=overrides)
-
-
-@dataclass(frozen=True)
-class InheritedFeasibility:
-    """Result of re-checking block feasibility on the surviving inverters."""
-
-    checked: bool
-    passed: bool
-    worst: float
-    margin: float
-    reason: str = ""
-
-
-def inherited_feasibility(
-    gains: GainSet,
-    hull: IntervalHull,
-    condition: OperatingCondition,
-    d: float,
-) -> InheritedFeasibility:
-    """Direct re-check of the per-block conditions on the survivor set.
-
-    The survivor Jacobian hull vertices are principal submatrices of the
-    full-system ones, so (Cauchy interlacing) a connected survivor set can
-    only improve the margin; the check is run anyway rather than trusted.
-    Disconnected survivor comm graphs are reported as skipped, outside the
-    guarantee.
-    """
-    if not condition.connected:
-        return InheritedFeasibility(
-            checked=False, passed=False, worst=float("nan"), margin=float("nan"),
-            reason="survivor comm graph disconnected",
-        )
-    surviving = set(condition.active_inverters)
-    worst = -np.inf
-    any_checked = False
-    for bi, blk in enumerate(hull.blocks):
-        keep = [i for i in blk if i in surviving]
-        if not keep:
-            continue
-        any_checked = True
-        pos = {b: p for p, b in enumerate(blk)}
-        idx = []
-        for i in keep:
-            idx.extend([2 * pos[i], 2 * pos[i] + 1])
-        full = hull.per_block[bi].D_stack
-        D = full[np.ix_(range(full.shape[0]), idx, idx)]
-        worst = max(worst, float(block_eig_max(D, gains.stacked(keep)).max()))
-    if not any_checked:
-        return InheritedFeasibility(
-            checked=False, passed=False, worst=float("nan"), margin=float("nan"),
-            reason="no surviving inverters",
-        )
-    return InheritedFeasibility(
-        checked=True,
-        passed=worst <= -d + EIG_TOL,
-        worst=worst,
-        margin=-worst,
-    )

@@ -109,12 +109,12 @@ def injections_raw(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray):
     return S.real, S.imag
 
 
-def full_jacobian(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray, rows=None):
+def full_jacobian(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray, rows):
     """dP/dtheta, dP/dE, dQ/dtheta, dQ/dE over the given rows and every column.
 
-    ``rows`` lists bus ids (all buses when omitted); each block has one row
-    per listed bus and one column per bus.  ``theta`` and ``E`` may carry
-    leading stack axes, which the blocks then carry too.  With
+    ``rows`` lists bus ids; each block has one row per listed bus and one
+    column per bus.  ``theta`` and ``E`` may carry leading stack axes, which
+    the blocks then carry too.  With
     s_ik, c_ik = sin, cos(theta_i - theta_k - phi_ik) and |Y_ik| zeroed at
     each row's own bus, an entry off that bus is E_i E_k |Y_ik| s_ik,
     E_i |Y_ik| c_ik, -E_i E_k |Y_ik| c_ik or E_i |Y_ik| s_ik; the own-bus
@@ -122,7 +122,7 @@ def full_jacobian(Y: AdmittanceMatrix, theta: np.ndarray, E: np.ndarray, rows=No
     over the columns in order one term at a time, as -E_i S_i,
     2 E_i G_ii + C_i, E_i C_i and -2 E_i B_ii + S_i.
     """
-    r = np.arange(E.shape[-1]) if rows is None else np.asarray(rows, dtype=int)
+    r = np.asarray(rows, dtype=int)
     own = (np.arange(len(r)), r)  # each row's own-bus entry
     A = theta[..., r, None] - theta[..., None, :] - Y.angle[r]
     mag = Y.magnitude[r]

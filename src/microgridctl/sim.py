@@ -387,7 +387,8 @@ class _Engine:
     than 2 dt E_dot_max inside its box; the rate limit keeps the stages
     within dt E_dot_max of the start, so then the voltage clamp cannot
     fire and ``derivative`` skips it at all four stages (``_try_step`` gives
-    the argument).  ``box_steps`` counts the step attempts that kept it.
+    the argument).  ``box_steps`` counts the step attempts that kept it;
+    those attempts clip the stepped E onto the box.
     """
 
     def __init__(self, case: NetworkCase, gains: GainSet, Y, cond: OperatingCondition,
@@ -396,7 +397,8 @@ class _Engine:
         self.gains = gains
         self.Y = Y
         self.stats = {"eliminated_buses": [], "newton_iters": 0, "dt_halvings": 0,
-                      "derivative_evals": 0, "tangent_updates": 0, "box_steps": 0}
+                      "derivative_evals": 0, "tangent_updates": 0, "box_steps": 0,
+                      "box_clips": 0}
         self.set_condition(cond, theta, E)
 
     def set_condition(self, cond: OperatingCondition, theta, E):
@@ -511,6 +513,14 @@ class _Engine:
         do; the second is headroom.)  A halved retry decides again with its
         own dt.  ``box_steps`` counts the attempts, retries included, that
         kept the clamp on.
+
+        With the clamp the law is a projected dynamical system (Nagurney and
+        Zhang, 1996) whose E never leaves the box, but RK4 meets the bound
+        only at its stages.  So an attempt that kept the clamp projects the
+        stepped E onto the box (a clip, the identity inside it) before the
+        step's load solve, whose state the reused injections then share;
+        ``box_clips`` counts the attempts whose clip moved an E.  The others
+        end within D plus rounding of E0, inside the box.
         """
         x, ia, k = self.x, self.ia, self.k
         x0 = x[ia].copy()
@@ -528,6 +538,10 @@ class _Engine:
                 np.add(x0, d, out=x)
             else:
                 x[ia] = x0 + d
+            if near and c is None:  # project the stepped E onto the box
+                E, lo, hi = self.E_act, self.control.e_lo, self.control.e_hi
+                self.stats["box_clips"] += bool(((E < lo) | (E > hi)).any())
+                np.clip(E, lo, hi, out=E)
             its += self.resolve_algebraic()
         return its
 
@@ -563,11 +577,11 @@ def run_scenario(
     frequency columns come from the full network at the recorded state.
     ``meta["stats"]`` holds the run's counters: eliminated buses per
     operating condition, Newton iterations, dt halvings, control-law
-    evaluations, rebuilds of the load-solve tangent (``tangent_updates``)
-    and step attempts that kept the voltage clamp on (``box_steps``),
-    plus the start used (``"initial"``,
-    ``"equilibrium"`` or ``"flat"``) and, for the flat fallback, why the
-    equilibrium solve failed.
+    evaluations, rebuilds of the load-solve tangent (``tangent_updates``),
+    step attempts that kept the voltage clamp on (``box_steps``) and those
+    whose clip onto the box moved an E (``box_clips``), plus the start used
+    (``"initial"``, ``"equilibrium"`` or ``"flat"``) and, for the flat
+    fallback, why the equilibrium solve failed.
     """
     cfg = scenario.config
     n_steps = int(round(cfg.t_end / cfg.dt))

@@ -20,10 +20,11 @@ from microgridctl.certify import (
     block_feasibility,
     certification_vertices,
     entry_bounds,
+    inherited_feasibility,
     sample_interior_profiles,
     verify_certificate,
 )
-from microgridctl.contingency import FaultEvent, OperatingCondition, apply_event, inherited_feasibility
+from microgridctl.contingency import FaultEvent, OperatingCondition, apply_event
 from microgridctl.controller import consensus_patterns, control_derivative, ControlState
 from microgridctl.netmodel import laplacian
 from microgridctl.powerflow import VoltageProfile, injections_raw

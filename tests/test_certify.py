@@ -503,6 +503,16 @@ def test_search_certificate_is_frozen(case14, gains14_synth, hull14):
     assert cert.meta["zeta_bound"] == pytest.approx(0.47710561, abs=1e-8)
 
 
+def test_longer_search_raises_xi_by_refining_u(case14, gains14_synth, hull14):
+    """With 25 U steps the descents toward a raised xi target succeed, and
+    the refinement lifts xi to 0.4546; with ``u_steps=5`` (frozen above) none
+    does and xi stays at 0.2749.  The disturbance degree is the same."""
+    cert = certificate_for_gains(case14, gains14_synth, hull14, u_steps=25)
+    assert cert.xi == pytest.approx(0.454561, abs=1e-5)
+    assert cert.xi > float.fromhex("0x1.197b7414a4d2cp-2")
+    assert float(cert.zeta).hex() == "0x1.cf96f58bf5ffap-3"
+
+
 def test_suspects_of_an_infeasible_xi_decide_every_lower_xi(A14, cert14):
     """Margins rise with xi, so the survivors at an infeasible xi give the
     verdict of the whole stack at any lower xi (the incremental bisection)."""
@@ -597,8 +607,8 @@ def separated_pair_case():
 
 
 def test_synthesize_on_separated_pair(separated_pair_case):
-    gains, cert = certify.synthesize_gains(separated_pair_case, stage1_iters=120)
     hull = build_hull(separated_pair_case)
+    gains, cert = certify.synthesize_gains(separated_pair_case, hull, stage1_iters=120)
     feas = block_feasibility(gains, hull, d=cert.d - 1e-9)
     assert feas.passed
     report = verify_certificate(separated_pair_case, gains, cert)
@@ -645,7 +655,8 @@ def test_stage1_is_frozen(separated_pair_case):
     blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
     assert _digest(*blocks, [gains.theta_dot_max, gains.E_dot_max]) == (
         "3a7ded71e6ec22ffc898698e41e0555150bcb68da969b84162460464d2e8b7f6")
-    gains, cert = certify.synthesize_gains(separated_pair_case, stage1_iters=120)
+    gains, cert = certify.synthesize_gains(separated_pair_case, build_hull(separated_pair_case),
+                                           stage1_iters=120)
     blocks = [gains.blocks[i] for i in sorted(gains.blocks)]
     assert _digest(*blocks, cert.U, [cert.eps, cert.xi, cert.zeta, cert.d]) == (
         "328969557035227e05704ad853739227befc64217b4a977fc07b16c766fea7a0")
@@ -692,7 +703,7 @@ def test_schur_eps_minimizes_the_surrogate_and_clips():
 def test_certificate_for_infeasible_gains_raises(separated_pair_case):
     bad = GainSet(blocks={0: np.eye(2) * 0.01, 1: np.eye(2) * 0.01})  # wrong sign
     with pytest.raises(SynthesisError, match="block feasibility"):
-        certificate_for_gains(separated_pair_case, bad)
+        certificate_for_gains(separated_pair_case, bad, build_hull(separated_pair_case))
 
 
 # -- zeta estimate ----------------------------------------------------------------

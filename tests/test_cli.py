@@ -64,6 +64,23 @@ def test_certify_rejects_certificate_without_digest(tmp_path, capsys):
     assert "no digest" in capsys.readouterr().err
 
 
+def test_certify_rejects_certificate_of_the_wrong_order(tmp_path, capsys):
+    doc = json.loads(bundled.data_path(bundled.CERT14).read_text(encoding="utf-8"))
+    doc["U"] = np.eye(6).tolist()  # the digest still matches the case and gains
+    path = tmp_path / "small_u.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", CASE, SYNTH, "--cert", str(path)]) == 3
+    assert "U has shape (6, 6), expected (8, 8)" in capsys.readouterr().err
+
+
+def test_certify_without_block_feasible_gains_exits_3(capsys):
+    # the published gains fail the block conditions on the bundled case's hull
+    assert main(["certify", CASE, GAINS]) == 3
+    captured = capsys.readouterr()
+    assert "block feasibility: FAIL" in captured.out
+    assert "no certificate possible" in captured.err
+
+
 def test_certify_rejects_corrupted_certificate(tmp_path, capsys):
     cert = bundled.bundled_certificate()
     U = np.array(cert.U)
@@ -178,7 +195,7 @@ def test_simulate_stats_prints_run_counters(tmp_path, capsys):
     # 20 RK4 steps of 4 stages, plus one law evaluation per recorded row (t = 0, 0.02, ..., 0.1)
     assert stats == {"derivative_evals": 86, "dt_halvings": 0, "eliminated_buses": [9, 10],
                      "newton_iters": 0, "start": "equilibrium", "start_fallback": None,
-                     "tangent_updates": 0, "box_steps": 0}
+                     "tangent_updates": 0, "box_steps": 0, "box_clips": 0}
 
 
 def _json_lines(text):
@@ -203,8 +220,11 @@ def test_synthesize_and_certify_stats_print_search_counters(tmp_path, capsys):
     # the same gains give the same search, counted the same
     assert main(["certify", str(case), prefix + ".gains.json", "--stats"]) == 0
     assert _json_lines(capsys.readouterr().out) == [stats]
-    assert main(["certify", str(case), prefix + ".gains.json"]) == 0
+    searched = str(tmp_path / "searched.cert.json")
+    assert main(["certify", str(case), prefix + ".gains.json", "--out", searched]) == 0
     assert _json_lines(capsys.readouterr().out) == []
+    assert main(["certify", str(case), prefix + ".gains.json", "--cert", searched]) == 0
+    assert "certificate: PASS: 400 vertices" in capsys.readouterr().out
 
 
 def _trace_csv(tmp_path):
@@ -255,29 +275,59 @@ def _subnormal_line(command, patch):
     return argv
 
 
+def _empty_trace(tmp_path):
+    path = _trace_csv(tmp_path)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return ["metrics", str(path)]
+
+
+def _fractional_newton_iters(tmp_path):
+    path = _trace_csv(tmp_path)
+    header, first, *rest = path.read_text().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index("newton_iters")] = "0.5"
+    path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    return ["metrics", str(path)]
+
+
+# name: (argv given a scratch directory, a fragment of the error message)
 BAD_INPUTS = {
-    "metrics_non_numeric_cell": _non_numeric_cell,
-    "metrics_without_t_column": _no_t_column,
-    "ranges_bad_json": _ranges("{bad"),
-    "ranges_top_level_list": _ranges("[1, 2]"),
-    "ranges_non_integer_bus": _ranges('{"P": {"x": [0.0, 1.0]}}'),
-    "ranges_400_digit_integer": _ranges('{"P": {"0": [0, 1%s]}}' % ("0" * 400)),
-    "ranges_bus_outside_the_case": _ranges('{"P": {"99": [0.0, 1.0]}}'),
-    "ranges_q_at_an_inverter_bus": _ranges('{"Q": {"0": [-1.0, 1.0]}}'),
-    "check_case_on_a_directory": lambda tmp_path: ["check-case", str(tmp_path)],
-    "simulate_too_many_steps": _scenario('{"sim": {"t_end": 1e12, "dt": 0.005}}'),
-    "simulate_subnormal_line_R": _subnormal_line("simulate", {"R": 1e-320, "X": 0.0}),
-    "certify_subnormal_line_X": _subnormal_line("certify", {"R": 0.0, "X": 1e-310}),
+    "metrics_non_numeric_cell": (_non_numeric_cell, "malformed trace CSV"),
+    "metrics_without_t_column": (_no_t_column, "header does not match"),
+    "metrics_header_without_rows": (_empty_trace, "trace CSV has no rows"),
+    "metrics_fractional_newton_iters": (_fractional_newton_iters,
+                                        "column newton_iters must hold integers"),
+    "ranges_bad_json": (_ranges("{bad"), "malformed ranges file"),
+    "ranges_top_level_list": (_ranges("[1, 2]"), "must be a JSON object"),
+    "ranges_non_integer_bus": (_ranges('{"P": {"x": [0.0, 1.0]}}'), "malformed ranges file"),
+    "ranges_400_digit_integer": (_ranges('{"P": {"0": [0, 1%s]}}' % ("0" * 400)),
+                                 "malformed ranges file"),
+    "ranges_bus_outside_the_case": (_ranges('{"P": {"99": [0.0, 1.0]}}'),
+                                    "P ranges at buses [99]"),
+    "ranges_q_at_an_inverter_bus": (_ranges('{"Q": {"0": [-1.0, 1.0]}}'),
+                                    "Q ranges at buses [0]"),
+    "check_case_on_a_directory": (lambda tmp_path: ["check-case", str(tmp_path)],
+                                  "Is a directory"),
+    "simulate_too_many_steps": (_scenario('{"sim": {"t_end": 1e12, "dt": 0.005}}'),
+                                "above the 10000000 a run may take"),
+    "simulate_fractional_step_count": (_scenario('{"sim": {"t_end": 1.0, "dt": 0.3}}'),
+                                       "t_end must be an integer number of steps"),
+    "simulate_subnormal_line_R": (_subnormal_line("simulate", {"R": 1e-320, "X": 0.0}),
+                                  "singular impedance"),
+    "certify_subnormal_line_X": (_subnormal_line("certify", {"R": 0.0, "X": 1e-310}),
+                                 "singular impedance"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_exits_1_without_traceback(name, tmp_path, capsys):
-    argv = BAD_INPUTS[name](tmp_path)
+    argv, message = BAD_INPUTS[name]
+    argv = argv(tmp_path)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
 
 
 def test_ranges_are_checked(tmp_path, capsys):

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microgridctl.contingency import (
-    FaultEvent,
-    OperatingCondition,
-    apply_event,
-    inherited_feasibility,
-)
-from microgridctl.certify import block_feasibility
+from microgridctl.contingency import FaultEvent, OperatingCondition, apply_event
+from microgridctl.certify import block_feasibility, inherited_feasibility
 from microgridctl.netmodel import Load, ValidationError, laplacian
 
 

@@ -260,6 +260,50 @@ def test_line_search_exhaustion_raises(monkeypatch, triangle_case):
     assert theta[2] == 0.0 and E[2] == 1.0  # back at the last accepted iterate
 
 
+class Scalar:
+    """A one-unknown iterate for ``damped_newton``: residual g(u) = u with a chosen slope."""
+
+    def __init__(self, slope):
+        self.u = np.array([1.0])
+        self.slope = slope
+
+    def solve(self, max_iter):
+        return powerflow.damped_newton(lambda: self.u.copy(), lambda: np.array([[self.slope]]),
+                                       lambda: self.u.copy(), self.put, 1e-12, max_iter, "test")
+
+    def put(self, v):
+        self.u[:] = v
+
+
+def test_singular_newton_matrix_raises_with_its_condition_number():
+    with pytest.raises(NewtonError, match="singular Newton matrix in test") as err:
+        Scalar(0.0).solve(10)
+    assert err.value.cond == math.inf
+    assert err.value.iterations == 0 and err.value.residual == 1.0
+
+
+def test_slowly_falling_residual_raises_after_max_iter():
+    # a slope 1,000 times too steep: each full step takes 0.1 % off the residual
+    it = Scalar(1000.0)
+    with pytest.raises(NewtonError, match="did not converge in 5 iterations") as err:
+        it.solve(5)
+    assert err.value.iterations == 5
+    assert err.value.residual == it.u[0] == pytest.approx(0.999 ** 5, rel=1e-12)
+
+
+def test_tangent_raises_when_the_newton_matrix_cannot_be_solved(monkeypatch, triangle_case):
+    Y = mg.build_admittance(triangle_case)
+    kcl = LoadBusKCL(Y, [2], LoadArrays.of(triangle_case.loads(), [2]))
+    solve_algebraic(kcl, np.zeros(3), np.ones(3))
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NewtonError, match="singular Newton matrix at the load-solve tangent"):
+        kcl.tangent()
+
+
 # the algebraic positions of each case: contiguous runs and scattered or reordered ones
 KCL_KERNEL_CASES = [("mixed_case", [3, 4, 5]), ("mixed_case", [5, 3]),
                     ("cpower14", None), ("cpower14", [8, 9, 10, 11, 12, 13])]
@@ -494,7 +538,7 @@ def test_full_jacobian_identities(case14, Y14):
     rng = np.random.default_rng(12)
     theta = rng.uniform(-0.2, 0.2, case14.n)
     E = rng.uniform(0.95, 1.05, case14.n)
-    dP_dth, dP_dE, dQ_dth, dQ_dE = full_jacobian(Y14, theta, E)
+    dP_dth, dP_dE, dQ_dth, dQ_dE = full_jacobian(Y14, theta, E, range(case14.n))
     P, Q = injections_raw(Y14, theta, E)
     G = Y14.Y.real
     B = Y14.Y.imag
@@ -510,7 +554,8 @@ def test_full_jacobian_rows_are_exact_row_subsets(case14, Y14):
     theta = rng.uniform(-0.2, 0.2, case14.n)
     E = rng.uniform(0.95, 1.05, case14.n)
     rows = [9, 2, 13]
-    for whole, part in zip(full_jacobian(Y14, theta, E), full_jacobian(Y14, theta, E, rows)):
+    for whole, part in zip(full_jacobian(Y14, theta, E, range(case14.n)),
+                           full_jacobian(Y14, theta, E, rows)):
         assert part.shape == (3, case14.n)
         assert np.array_equal(part, whole[rows])
 
@@ -520,7 +565,7 @@ def test_full_jacobian_of_a_stack_equals_single_calls(case14, Y14):
     theta = rng.uniform(-0.2, 0.2, (2, 3, case14.n))
     E = rng.uniform(0.95, 1.05, (2, 3, case14.n))
     cols = list(case14.inverter_ids)
-    for rows in (None, [9, 2, 13]):
+    for rows in (range(case14.n), [9, 2, 13]):
         stacked = full_jacobian(Y14, theta, E, rows)
         J = interleave(stacked, cols)
         for idx in np.ndindex(2, 3):

@@ -331,6 +331,7 @@ def test_bundled_loadstep_is_solved_by_elimination_alone(case14, Y14, gains14):
         "derivative_evals": 4 * n_steps + tr.n_rows,
         "tangent_updates": 0,
         "box_steps": 0,  # the study stays clear of the voltage box
+        "box_clips": 0,
         "start": "equilibrium",
         "start_fallback": None,
     }
@@ -528,6 +529,7 @@ def test_constant_power_newton_counts_are_pinned(cpower14, gains14):
         "derivative_evals": 253,
         "tangent_updates": 83,
         "box_steps": 0,
+        "box_clips": 0,
         "start": "equilibrium",
         "start_fallback": None,
     }
@@ -579,6 +581,8 @@ def test_clamp_firing_mid_run_matches_clamp_at_every_stage(monkeypatch, tmp_path
     assert (tr.clamp_active > 0).sum() >= 20
     assert tr.E[:, 0].min() <= BOX_LO_0 and tr.E[:, 1].max() >= BOX_HI_1
     assert 0 < stats["box_steps"] < 300  # the steps before the load step skip the clamp
+    assert 0 < stats["box_clips"] <= stats["box_steps"]
+    assert metrics(tr, case).voltage_violations == 0  # the clip keeps every E in its box
     clamp_at_every_stage(monkeypatch)
     _, ref_csv, ref_stats = csv_and_stats(tmp_path, case, gains, scn)
     assert csv == ref_csv and stats == ref_stats
@@ -596,8 +600,9 @@ def test_halved_retry_near_the_box_matches_clamp_at_every_stage(monkeypatch, tmp
         return solve(kcl, theta, E)
 
     monkeypatch.setattr(sim, "solve_algebraic", flaky)
-    _, csv, stats = csv_and_stats(tmp_path, case, gains, scn)
+    tr, csv, stats = csv_and_stats(tmp_path, case, gains, scn)
     assert stats["dt_halvings"] == 3 and stats["box_steps"] > clean["box_steps"]
+    assert metrics(tr, case).voltage_violations == 0
     calls.clear()
     clamp_at_every_stage(monkeypatch)
     _, ref_csv, ref_stats = csv_and_stats(tmp_path, case, gains, scn)
