@@ -13,6 +13,14 @@ grows with the corner count and their entries are mutually consistent.
 The disturbance multiplier enters the certificate inequalities as
 ``eps * zeta**2`` (the ``squared`` zeta mode).  A certificate file names
 both in ``hull_kind`` and ``zeta_mode``, and no other value is accepted.
+
+Every vertex sweep (corner Jacobians, block eigenvalues, certification
+vertices, their A11 matrices and margins) goes through its stack
+VERTEX_CHUNK vertices at a time, so its working memory is set by the
+chunk, not by the stack.  Each vertex's result is computed on its own, so
+the results are bit for bit those of one whole-stack sweep.  Only the
+search's screen ``_below`` runs over its whole A11 stack at once, which
+is faster there.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ HULL_JBAR = "jbar"  # the one hull kind: Jacobian evaluations at corner profiles
 ZETA_SQUARED = "squared"  # multiplier enters as eps * zeta^2 (S-procedure on norms)
 VERTEX_BUDGET = 200_000  # largest global vertex product checked in full
 MAX_CORNER_COMBOS = 2_000_000  # largest per-block corner enumeration
-MARGIN_CHUNK = 4096  # vertices per batched eigen-solve in _margin_stack
+VERTEX_CHUNK = 256  # vertices per slice of every vertex sweep: its working memory scales with this
 XI_RESOLUTION = 1e-6  # stage 2 bisects xi to this width
 ZETA_HALVINGS = 48  # stage 2 halves the disturbance degree at most this often
 ABSCISSA_TOL = 1e-6  # relative slack on the vertex spectral abscissa (certificate_for_gains)
@@ -267,9 +275,9 @@ def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block) -> BlockBounds:
     states.
 
     ``D_stack`` holds one vertex per corner profile, in meshgrid order:
-    the normalized block Jacobian that one batched ``full_jacobian`` call
-    over the relevant subnetwork's admittance gives (the block's rows and
-    columns, each row divided by its P* or Q*).
+    the normalized block Jacobian that ``full_jacobian`` over the relevant
+    subnetwork's admittance gives (the block's rows and columns, each row
+    divided by its P* or Q*), evaluated VERTEX_CHUNK profiles at a time.
     """
     block = tuple(sorted(block))
     inv_set = set(case.inverter_ids)
@@ -313,7 +321,11 @@ def entry_bounds(case: NetworkCase, Y: AdmittanceMatrix, block) -> BlockBounds:
     scale = np.array([[case.buses[i].P_star, case.buses[i].Q_star] for i in block]).reshape(-1, 1)
     # unconnected block pairs come out as -0.0 or +0.0; + 0.0 makes them all +0.0, so the
     # stack keeps the bits cert14's attainer subset depends on (ROADMAP item 2)
-    D_stack = interleave(full_jacobian(Y_rel, theta, E, rows=rows), rows) / scale + 0.0
+    D_stack = np.empty((n_combos, 2 * len(rows), 2 * len(rows)))
+    for s in range(0, n_combos, VERTEX_CHUNK):
+        part = slice(s, s + VERTEX_CHUNK)
+        D_stack[part] = interleave(full_jacobian(Y_rel, theta[part], E[part], rows=rows),
+                                   rows) / scale + 0.0
 
     return BlockBounds(
         block=block,
@@ -421,12 +433,14 @@ def _worst_block_eig(gains: GainSet, hull: IntervalHull, keep) -> float:
         kept = [i for i in blk if i in keep]
         if not kept:
             continue
-        D = bb.D_stack
-        if len(kept) < len(blk):
-            idx = [2 * p + s for p, i in enumerate(blk) if i in keep for s in (0, 1)]
-            D = D[:, idx][:, :, idx]
-        H = np.einsum("kij,jl->kil", D, gains.stacked(kept))
-        worst = max(worst, float(np.linalg.eigvalsh(H + H.transpose(0, 2, 1))[:, -1].max()))
+        idx = [2 * p + r for p, i in enumerate(blk) if i in keep for r in (0, 1)]
+        K = gains.stacked(kept)
+        for s in range(0, len(bb.D_stack), VERTEX_CHUNK):
+            D = bb.D_stack[s : s + VERTEX_CHUNK]
+            if len(kept) < len(blk):
+                D = D[:, idx][:, :, idx]
+            H = np.einsum("kij,jl->kil", D, K)
+            worst = max(worst, float(np.linalg.eigvalsh(H + H.transpose(0, 2, 1))[:, -1].max()))
     return worst
 
 
@@ -474,20 +488,27 @@ def _attainer_subset(bb: BlockBounds) -> np.ndarray:
     return bb.D_stack[sorted(idx)]
 
 
+def _vertex_slices(hull: IntervalHull):
+    """The matrices of ``certification_vertices(hull)``, VERTEX_CHUNK at a time."""
+    per_block, _ = hull.vertex_lists
+    sizes = [len(s) for s in per_block]
+    positions = [np.array(hull.block_positions(bi)) for bi in range(len(per_block))]
+    n, total = 2 * len(hull.inverter_order), int(np.prod(sizes))
+    for s in range(0, total, VERTEX_CHUNK):
+        picks = np.unravel_index(np.arange(s, min(s + VERTEX_CHUNK, total)), sizes)
+        out = np.zeros((len(picks[0]), n, n))
+        for pos, vertices, pick in zip(positions, per_block, picks):
+            out[:, pos[:, None], pos] = vertices[pick]
+        yield out
+
+
 def certification_vertices(hull: IntervalHull) -> np.ndarray:
     """Global block-diagonal vertex matrices for the quadratic check.
 
     One matrix per combination of the lists in ``hull.vertex_lists``, in
     ``itertools.product`` order (the last block varies fastest).
     """
-    per_block, _ = hull.vertex_lists
-    picks = np.indices([len(s) for s in per_block]).reshape(len(per_block), -1)
-    n = 2 * len(hull.inverter_order)
-    out = np.zeros((picks.shape[1], n, n))
-    for bi, vertices in enumerate(per_block):
-        pos = np.array(hull.block_positions(bi))
-        out[:, pos[:, None], pos] = vertices[picks[bi]]
-    return out
+    return np.concatenate(list(_vertex_slices(hull)))
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +607,15 @@ def _margin_stack(A_stack, U, eps, xi, zeta):
     zz = zeta ** 2
     out = np.empty(A_stack.shape[0])
     eye = np.eye(m)
-    for s in range(0, A_stack.shape[0], MARGIN_CHUNK):
-        A = A_stack[s : s + MARGIN_CHUNK]
+    for s in range(0, A_stack.shape[0], VERTEX_CHUNK):
+        A = A_stack[s : s + VERTEX_CHUNK]
         TL = A.transpose(0, 2, 1) @ U + U @ A + (eps * zz) * eye + xi * U
         M = np.empty((A.shape[0], 2 * m, 2 * m))
         M[:, :m, :m] = TL
         M[:, :m, m:] = U
         M[:, m:, :m] = U
         M[:, m:, m:] = -eps * eye
-        out[s : s + MARGIN_CHUNK] = np.linalg.eigvalsh(M)[:, -1]
+        out[s : s + VERTEX_CHUNK] = np.linalg.eigvalsh(M)[:, -1]
     return out
 
 
@@ -656,30 +677,38 @@ def verify_certificate(
     gains: GainSet,
     cert: StabilityCertificate,
     vertex_matrices: np.ndarray | None = None,
+    hull: IntervalHull | None = None,
 ) -> VerificationReport:
     """Re-check the certificate inequalities at every supplied hull vertex.
 
-    When no vertex matrices are given they are rebuilt from the case, and
-    the report names the size of the full per-block product next to the
-    number of vertices checked.  The report carries per-vertex margins;
-    the certificate passes when every margin is at most ``EIG_TOL``.
+    When no vertex matrices are given they come from ``hull``
+    (``certification_vertices``), which is built from the case when not
+    given either, and the report names the size of the full per-block
+    product next to the number of vertices checked; giving both is a
+    ValueError.  The vertices are swept VERTEX_CHUNK at a time.  The
+    report carries per-vertex margins; the certificate passes when every
+    margin is at most ``EIG_TOL``.
     """
+    if vertex_matrices is not None and hull is not None:
+        raise ValueError("give vertex_matrices or hull, not both")
     n_product = None
     if vertex_matrices is None:
-        hull = build_hull(case)
-        vertex_matrices = certification_vertices(hull)
-        n_product = hull.vertex_lists[1]
-        del hull  # its corner stacks would stay resident through the margin sweep
+        hull = build_hull(case) if hull is None else hull
+        slices, n_product = _vertex_slices(hull), hull.vertex_lists[1]
+    else:
+        slices = (vertex_matrices[s : s + VERTEX_CHUNK]
+                  for s in range(0, len(vertex_matrices), VERTEX_CHUNK))
     lap = laplacian(case.comm_edges, case.inverter_ids)
     if not lap.connected:
         raise ValidationError("comm graph disconnected; certificate undefined")
-    basis = build_basis(case.n_inverters)
-    K = gains.stacked(case.inverter_ids)
-    A_stack = reduced_closed_loop(vertex_matrices, K, lap.kron2(), basis)
     m = 2 * (case.n_inverters - 1)
     if cert.U.shape != (m, m):
         raise CertificateError(f"certificate U has shape {cert.U.shape}, expected {(m, m)}")
-    margins = _margin_stack(A_stack, cert.U, cert.eps, cert.xi, cert.zeta)
+    basis = build_basis(case.n_inverters)
+    K, Lbar = gains.stacked(case.inverter_ids), lap.kron2()
+    margins = np.concatenate([
+        _margin_stack(reduced_closed_loop(D, K, Lbar, basis), cert.U, cert.eps, cert.xi, cert.zeta)
+        for D in slices])
     worst = int(np.argmax(margins))
     return VerificationReport(
         passed=bool(margins[worst] <= EIG_TOL),
@@ -1126,8 +1155,8 @@ def certificate_for_gains(
     disturbance-degree halvings and the degrees skipped by the bound.
 
     Failure raises SynthesisError; no certificate is ever returned
-    unverified: the result is re-checked with exact margins at every
-    vertex.
+    unverified: the result is re-checked with exact margins
+    (``_margin_stack``) at every vertex of the A11 stack the search ran on.
     """
     if case.n_inverters < 2:
         raise SynthesisError("certificates need at least two inverters")
@@ -1148,8 +1177,7 @@ def certificate_for_gains(
     basis = build_basis(case.n_inverters)
     K = gains.stacked(case.inverter_ids)
     Lbar = lap.kron2()
-    vmats = certification_vertices(hull)
-    A_stack = reduced_closed_loop(vmats, K, Lbar, basis)
+    A_stack = np.concatenate([reduced_closed_loop(D, K, Lbar, basis) for D in _vertex_slices(hull)])
     m = 2 * (case.n_inverters - 1)
 
     Lbar1 = reduced_laplacian(Lbar, basis)
@@ -1174,11 +1202,9 @@ def certificate_for_gains(
             "stats": stats,
         },
     )
-    report = verify_certificate(case, gains, cert, vertex_matrices=vmats)
-    if not report.passed:
-        raise SynthesisError(
-            f"stage 2 candidate failed re-verification (worst {report.worst:.3e})"
-        )
+    worst = float(_margin_stack(A_stack, cert.U, cert.eps, cert.xi, cert.zeta).max())
+    if not worst <= EIG_TOL:
+        raise SynthesisError(f"stage 2 candidate failed re-verification (worst {worst:.3e})")
     return cert
 
 

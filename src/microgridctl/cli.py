@@ -113,14 +113,14 @@ def _cmd_certify(args) -> int:
           f"(worst eigenvalue {feas.worst:.6e}, margin d = {-feas.worst:.6e})")
     if args.cert:
         cert = load_certificate(args.cert, case, gains)
-        report = verify_certificate(case, gains, cert)
+        report = verify_certificate(case, gains, cert, hull=hull)
         print(f"certificate: {report.format()}")
         return EXIT_OK if report.passed else EXIT_CERTIFICATE
     if not feas.passed:
         print("no certificate possible: block conditions infeasible", file=sys.stderr)
         return EXIT_CERTIFICATE
     cert = certificate_for_gains(case, gains, hull)
-    report = verify_certificate(case, gains, cert)
+    report = verify_certificate(case, gains, cert, hull=hull)
     print(f"synthesized certificate: xi={cert.xi:.6g} eps={cert.eps:.6g} "
           f"zeta={cert.zeta:.6g} (requested {cert.meta.get('zeta_requested', float('nan')):.6g})")
     print(f"verification: {report.format()}")
@@ -137,7 +137,7 @@ def _cmd_synthesize(args) -> int:
     case = load_case(args.case)
     hull = build_hull(case)
     gains, cert = synthesize_gains(case, hull)
-    report = verify_certificate(case, gains, cert)
+    report = verify_certificate(case, gains, cert, hull=hull)
     print(f"gains synthesized; block margin d = {cert.d:.6g}, xi = {cert.xi:.6g}, "
           f"zeta = {cert.zeta:.6g}")
     print(f"verification: {report.format()}")

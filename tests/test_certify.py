@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,67 @@ def test_report_names_attainer_subset_coverage(case14, gains14_synth, cert14, hu
     assert supplied.n_product is None
     assert supplied.format().startswith("PASS: 2176 vertices, ")
     assert np.array_equal(built.margins, supplied.margins)
+
+
+def test_verification_over_a_given_hull_is_the_built_one(case14, gains14_synth, cert14, hull14):
+    given = verify_certificate(case14, gains14_synth, cert14, hull=hull14)
+    built = verify_certificate(case14, gains14_synth, cert14)
+    assert given.margins.tobytes() == built.margins.tobytes()
+    assert given.format() == built.format()
+    with pytest.raises(ValueError):
+        verify_certificate(case14, gains14_synth, cert14, hull=hull14,
+                           vertex_matrices=certification_vertices(hull14))
+
+
+# -- chunked vertex sweeps ----------------------------------------------------------
+
+
+def _certify14_results(case14, gains14_synth, cert14):
+    """Every output of the chunked sweeps on case14, as raw bytes and hex."""
+    hull = build_hull(case14)
+    report = verify_certificate(case14, gains14_synth, cert14)
+    cert = certificate_for_gains(case14, gains14_synth, hull, u_steps=5)
+    return {
+        "stacks": [(bb.D_stack.tobytes(), bb.J_lo.tobytes(), bb.J_hi.tobytes())
+                   for bb in hull.per_block],
+        "hull": (hull.J_lo.tobytes(), hull.J_hi.tobytes()),
+        "block_worst": block_feasibility(gains14_synth, hull, cert14.d).worst.hex(),
+        "report": (report.margins.tobytes(), report.worst_vertex, report.n_product),
+        "certificate": (cert.U.tobytes(), *(float(getattr(cert, f)).hex()
+                                            for f in ("eps", "xi", "zeta", "d")),
+                        json.dumps(cert.meta, sort_keys=True)),
+    }
+
+
+def test_chunk_boundaries_leave_every_result_unchanged(monkeypatch, case14, gains14_synth,
+                                                       cert14):
+    """A chunk that divides none of the stacks (7,200, 2,592 and 12 corners,
+    2,176 certification vertices) gives the default chunk's bits."""
+    default = _certify14_results(case14, gains14_synth, cert14)
+    assert all(n % 97 for n in (7200, 2592, 12, 2176))
+    monkeypatch.setattr(certify, "VERTEX_CHUNK", 97)
+    assert _certify14_results(case14, gains14_synth, cert14) == default
+
+
+def _peak_mib(fn) -> float:
+    """tracemalloc's peak over one call of ``fn`` (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_vertex_sweeps_work_in_bounded_memory(case14, gains14_synth, cert14, hull14):
+    """Working memory is set by VERTEX_CHUNK, not by the stacks: whole-stack
+    sweeps peaked at 11.2, 4.3, 11.2 and 11.1 MiB here."""
+    stacks = sum(bb.D_stack.nbytes for bb in hull14.per_block) / 2 ** 20
+    assert _peak_mib(lambda: build_hull(case14)) <= stacks + 2.0
+    assert _peak_mib(lambda: block_feasibility(gains14_synth, hull14, cert14.d)) <= 1.0
+    assert _peak_mib(lambda: verify_certificate(case14, gains14_synth, cert14)) <= 5.0
+    assert _peak_mib(lambda: certificate_for_gains(case14, gains14_synth, hull14,
+                                                   u_steps=5)) <= 8.0
 
 
 # -- screened margin sweeps ---------------------------------------------------------

@@ -50,6 +50,23 @@ def test_certify_verifies_bundled_certificate(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("extra", [["--cert", CERT], []], ids=["verify", "search"])
+def test_certify_builds_one_hull(extra, monkeypatch, capsys):
+    from microgridctl import certify, cli
+
+    calls, original = [], certify.build_hull
+
+    def counted(case):
+        calls.append(case)
+        return original(case)
+
+    monkeypatch.setattr(certify, "build_hull", counted)
+    monkeypatch.setattr(cli, "build_hull", counted)
+    assert main(["certify", CASE, SYNTH, *extra]) == 0
+    assert len(calls) == 1
+    assert "PASS on 2176-vertex attainer subset of 223948800, " in capsys.readouterr().out
+
+
 def test_certify_rejects_mismatched_digest(capsys):
     # the table gains are not the ones this certificate covers
     assert main(["certify", CASE, GAINS, "--cert", CERT]) == 3
